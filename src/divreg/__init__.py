@@ -4,20 +4,17 @@ score, two model families that train against it, and a CLI harness."""
 
 from .autodiff import (ShapeMismatch, Tensor, accumulate, add, backward, concat, exp,
                        grad_check, matmul, mul, narrow, neg, relu, reshape, sigmoid,
-                       tmean, tsum, zero_grads)
+                       tmean, tsum)
 from .config import ConfigError, ExperimentConfig, MODEL_FAMILIES
 from .data import (Dataset, DatasetFormatError, GeneratorConfig, batches, class_template,
                    generate, load_dataset, nearest_template, save_dataset)
-from .diversity import (DiversityScore, PooledFeature, SimilarityConfig, SimilarityMatrix,
-                        auto_gamma, channel_pool, det_gradient, det_t, diversity,
-                        diversity_from_features, diversity_of_pooled, lu_det,
-                        measure_diversity, pairwise_similarity, similarity_matrix,
+from .diversity import (DiversityScore, auto_gamma, channel_pool, det_gradient, det_t,
+                        diversity_of_pooled, lu_det, measure_diversity, similarity_matrix,
                         similarity_matrix_t, spatial_pool, unit_normalize)
 from .models import (AttentionMaps, CapacityError, CheckpointFormatError, DualBranchModel,
                      DualForward, EnsembleBranch, EnsembleModel, SharedBase, add_branch,
-                     build_dual_branch, build_ensemble, dual_forward, dual_predict,
-                     ensemble_forward, ensemble_predict, load_checkpoint, patchify,
-                     save_checkpoint, softmax_probs, unpatchify)
+                     build_dual_branch, build_ensemble, dual_predict, ensemble_predict,
+                     load_checkpoint, patchify, save_checkpoint, softmax_probs, unpatchify)
 from .nn import (AttentionBlock, ConvLayer, DenseLayer, attention_apply, broadcast_mul,
                  conv2d, global_avg_pool, linear, reduce_max, softmax_cross_entropy)
 from .training import (SGD, BranchAddCheck, EpochRecord, EvalReport, LossBreakdown,

@@ -68,15 +68,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data.reshape(-1)[0])
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
-    def backward(self) -> None:
-        backward(self)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, op={self._op!r}, requires_grad={self.requires_grad})"
 
@@ -131,11 +122,6 @@ def accumulate(t: Tensor, g: np.ndarray) -> None:
     if t.grad is None:
         t.grad = np.zeros_like(t.data)
     t.grad += g
-
-
-def zero_grads(tensors) -> None:
-    for t in tensors:
-        t.grad = None
 
 
 def backward(root: Tensor) -> None:

@@ -18,8 +18,8 @@ from pathlib import Path
 from .config import ConfigError, ExperimentConfig
 from .data import DatasetFormatError, GeneratorConfig, generate, load_dataset, save_dataset
 from .gradcheck import report_json, report_text, run_suite
-from .models import (CheckpointFormatError, EnsembleModel, build_dual_branch,
-                     build_ensemble, load_checkpoint, save_checkpoint)
+from .models import (BRANCH_CHANNELS, CheckpointFormatError, EnsembleModel,
+                     build_dual_branch, build_ensemble, load_checkpoint, save_checkpoint)
 from .training import NonFiniteLossError, evaluate, train
 
 _METRIC_COLUMNS = ("epoch", "branch_count", "train_acc", "test_acc",
@@ -109,15 +109,15 @@ def _resolved_gammas(model, cfg: ExperimentConfig) -> dict:
     out = {}
     if isinstance(model, EnsembleModel):
         size1 = model.base.out_size
-        size2 = (size1 + 2 - 3) // 2 + 1  # branch conv2: k3 s2 p1
+        size2, _ = model.branches[0].conv2.out_size(size1, size1)
         sizes = [size2] if cfg.diversity_tap == "last" else [size1, size2]
         out["spatial"] = [1.0 / (s * s) for s in sizes]
-        out["channel"] = 1.0 / 32
+        out["channel"] = 1.0 / BRANCH_CHANNELS
     else:
         patch = model.backbone.out_size // 2
         out["spatial"] = [1.0 / (patch * patch)]
-        out["channel"] = 1.0 / 32
-        out["branch"] = 1.0 / 32
+        out["channel"] = 1.0 / BRANCH_CHANNELS
+        out["branch"] = 1.0 / BRANCH_CHANNELS
     return out
 
 

@@ -7,10 +7,10 @@ and score diversity as the determinant of the resulting L×L similarity
 matrix. Near 0 when learners are redundant, near 1 when pairwise
 dissimilar.
 
-Two independent routes are provided on purpose: plain-array functions
-(`similarity_matrix`, `lu_det`, `det_gradient`, `diversity`) for direct
-verification, and tape-registered ops (`similarity_matrix_t`, `det_t`,
-`diversity_from_features`) that make the whole chain differentiable down
+The plain-array functions (`similarity_matrix`, `lu_det`, `det_gradient`,
+`measure_diversity`) are the test oracle; training uses the tape route
+only: `spatial_pool`/`channel_pool`, then `diversity_of_pooled`, whose
+ops (`similarity_matrix_t`, `det_t`) make the chain differentiable down
 to raw features. The determinant gradient is the explicit cofactor
 (adjugate-transpose) matrix, which stays well-defined at singular
 matrices — exactly the all-identical-features starting point.
@@ -30,76 +30,8 @@ Dimension = Literal["spatial", "channel", "branch"]
 PoolOp = Literal["mean", "max"]
 
 
-@dataclass(frozen=True)
-class SimilarityConfig:
-    """Eq/knob bundle for the similarity matrix: ``sample_count`` is the
-    mini-batch size N the pairwise similarities are averaged over;
-    ``gamma`` None means auto = 1/P with P the flattened pooled length,
-    keeping the exponent scale-comparable across spatial and channel
-    views. ``pool_op`` and ``normalize`` are ablation switches."""
-
-    sample_count: int
-    gamma: float | None = None
-    pool_op: PoolOp = "mean"
-    normalize: bool = False
-
-    def __post_init__(self):
-        if self.sample_count < 1:
-            raise ValueError(f"sample_count must be >= 1, got {self.sample_count}")
-        if self.gamma is not None and not self.gamma > 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if self.pool_op not in ("mean", "max"):
-            raise ValueError(f"pool_op must be 'mean' or 'max', got {self.pool_op!r}")
-
-
 def auto_gamma(pooled_length: int) -> float:
     return 1.0 / float(pooled_length)
-
-
-@dataclass(frozen=True)
-class PooledFeature:
-    """One learner's pooled map for one sample: (1,H,W) spatial or
-    (C,1,1) channel."""
-
-    learner_id: int
-    kind: Literal["spatial", "channel"]
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values)
-        if v.ndim != 3:
-            raise ValueError(f"pooled feature must be 3-d, got shape {v.shape}")
-        if self.kind == "spatial" and v.shape[0] != 1:
-            raise ValueError(f"spatial pooled feature needs shape (1,H,W), got {v.shape}")
-        if self.kind == "channel" and v.shape[1:] != (1, 1):
-            raise ValueError(f"channel pooled feature needs shape (C,1,1), got {v.shape}")
-        if self.kind not in ("spatial", "channel"):
-            raise ValueError(f"unknown pooled kind {self.kind!r}")
-
-
-@dataclass
-class SimilarityMatrix:
-    """L×L sample-averaged RBF similarities: symmetric, unit diagonal,
-    entries in (0,1] (exact 0 only via float underflow at extreme gamma),
-    PSD up to rounding as an average of Gaussian Gram matrices."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        e = np.asarray(self.entries, dtype=np.float64)
-        if e.ndim != 2 or e.shape[0] != e.shape[1]:
-            raise ValueError(f"similarity matrix must be square, got shape {e.shape}")
-        if not np.array_equal(e, e.T):
-            raise ValueError("similarity matrix must be exactly symmetric")
-        if not np.all(np.diag(e) == 1.0):
-            raise ValueError("similarity matrix diagonal must be exactly 1")
-        if e.min() < 0.0 or e.max() > 1.0:
-            raise ValueError("similarity entries must lie in [0, 1]")
-        self.entries = e
-
-    @property
-    def size(self) -> int:
-        return self.entries.shape[0]
 
 
 @dataclass
@@ -115,36 +47,15 @@ class DiversityScore:
 # ---------------------------------------------------------------------------
 # plain-array route
 
-def _stack_pooled(pooled, n_expected: int | None = None) -> np.ndarray:
-    """Normalize per-learner pooled inputs to an (L, N, P) float array.
-
-    Each learner entry is an (N, ...) array or a sequence of per-sample
-    PooledFeatures; kinds must agree across all learners.
-    """
-    stacks = []
-    kinds = set()
-    for learner in pooled:
-        if isinstance(learner, PooledFeature):
-            raise TypeError("pass a sequence of per-sample PooledFeatures per learner")
-        if not isinstance(learner, np.ndarray):
-            learner = list(learner)
-        if len(learner) and not isinstance(learner, np.ndarray) \
-                and isinstance(learner[0], PooledFeature):
-            kinds.update(s.kind for s in learner)
-            arr = np.stack([np.asarray(s.values, dtype=np.float64) for s in learner])
-        else:
-            arr = np.asarray(learner, dtype=np.float64)
-        stacks.append(arr.reshape(arr.shape[0], -1))
-    if len(kinds) > 1:
-        raise ValueError(f"mixed pooled kinds across learners: {sorted(kinds)}")
+def _stack_pooled(pooled) -> np.ndarray:
+    """Per-learner (N, ...) arrays as one (L, N, P) float array."""
+    stacks = [np.asarray(learner, dtype=np.float64) for learner in pooled]
     if not stacks:
         raise ValueError("need at least one learner")
-    shape = stacks[0].shape
+    stacks = [a.reshape(a.shape[0], -1) for a in stacks]
     for arr in stacks:
-        if arr.shape != shape:
-            raise ShapeMismatch("pairwise_similarity", *(a.shape for a in stacks))
-    if n_expected is not None and shape[0] != n_expected:
-        raise ValueError(f"sample count mismatch: got {shape[0]}, config says {n_expected}")
+        if arr.shape != stacks[0].shape:
+            raise ShapeMismatch("similarity_matrix", *(a.shape for a in stacks))
     return np.stack(stacks)
 
 
@@ -169,12 +80,6 @@ def similarity_matrix(pooled, gamma: float | None = None, normalize: bool = Fals
             d2 = ((feats[l] - feats[k]) ** 2).sum(axis=1)
             s[l, k] = s[k, l] = np.exp(-gamma * d2).mean()
     return s
-
-
-def pairwise_similarity(pooled, config: SimilarityConfig) -> SimilarityMatrix:
-    feats = _stack_pooled(pooled, n_expected=config.sample_count)
-    gamma = config.gamma if config.gamma is not None else auto_gamma(feats.shape[2])
-    return SimilarityMatrix(similarity_matrix(list(feats), gamma=gamma, normalize=config.normalize))
 
 
 def lu_det(matrix: np.ndarray) -> float:
@@ -216,11 +121,6 @@ def det_gradient(matrix: np.ndarray) -> np.ndarray:
             minor = a[np.ix_(rows != i, rows != j)]
             grad[i, j] = (-1.0) ** (i + j) * lu_det(minor)
     return grad
-
-
-def diversity(similarity, dimension: Dimension) -> DiversityScore:
-    entries = similarity.entries if isinstance(similarity, SimilarityMatrix) else np.asarray(similarity)
-    return DiversityScore(value=lu_det(entries), dimension=dimension)
 
 
 # ---------------------------------------------------------------------------
@@ -331,30 +231,9 @@ def diversity_of_pooled(pooled: Sequence[Tensor], dimension: Dimension,
     return DiversityScore(value=float(node.data), dimension=dimension, node=node)
 
 
-def diversity_from_features(features: Sequence[Tensor],
-                            config: SimilarityConfig) -> tuple[DiversityScore, DiversityScore]:
-    """Spatial and channel diversity of per-learner (N,C,H,W) feature
-    batches; the full pooling -> similarity -> det chain is differentiable
-    down to the raw features."""
-    if not features:
-        raise ValueError("need at least one learner")
-    shape = features[0].data.shape
-    for f in features:
-        if f.data.ndim != 4 or f.data.shape != shape:
-            raise ShapeMismatch("diversity_from_features", *(f.data.shape for f in features))
-    if shape[0] != config.sample_count:
-        raise ValueError(f"sample count mismatch: got {shape[0]}, config says {config.sample_count}")
-
-    sp = [spatial_pool(f, op=config.pool_op) for f in features]
-    ch = [channel_pool(f, op=config.pool_op) for f in features]
-    d_sp = diversity_of_pooled(sp, "spatial", gamma=config.gamma, normalize=config.normalize)
-    d_ch = diversity_of_pooled(ch, "channel", gamma=config.gamma, normalize=config.normalize)
-    return d_sp, d_ch
-
-
 def measure_diversity(pooled_arrays, dimension: Dimension, gamma: float | None = None,
                       normalize: bool = False) -> DiversityScore:
-    """Observation-only diversity from raw arrays (no tape, no RNG); used
-    for metric logging without touching the training graph."""
+    """Diversity from raw arrays, without the tape: the oracle that the
+    tape route is checked against."""
     s = similarity_matrix(pooled_arrays, gamma=gamma, normalize=normalize)
     return DiversityScore(value=lu_det(s), dimension=dimension)

@@ -18,8 +18,7 @@ import numpy as np
 
 from .autodiff import (Tensor, concat, exp, grad_check, matmul, neg, relu, reshape,
                        sigmoid, tmean, tsum)
-from .diversity import (SimilarityConfig, channel_pool, det_gradient, det_t,
-                        diversity_from_features, diversity_of_pooled,
+from .diversity import (channel_pool, det_gradient, det_t, diversity_of_pooled,
                         similarity_matrix_t, spatial_pool, unit_normalize)
 from .models import build_dual_branch, build_ensemble
 from .nn import (AttentionBlock, ConvLayer, DenseLayer, attention_apply, broadcast_mul,
@@ -289,12 +288,19 @@ def _check_diversity_grad(rng, corrupt=False):
     return worst
 
 
+def _feature_diversity(features):
+    """Spatial and channel D of per-learner (N,C,H,W) features, mean pooled,
+    auto gamma."""
+    sp = [spatial_pool(f) for f in features]
+    ch = [channel_pool(f) for f in features]
+    return diversity_of_pooled(sp, "spatial"), diversity_of_pooled(ch, "channel")
+
+
 def _check_diversity_chain(rng):
     feats = [_var(rng.normal(size=(2, 2, 4, 4))) for _ in range(2)]
-    cfg = SimilarityConfig(sample_count=2)
 
     def scalar(f0, f1):
-        d_sp, d_ch = diversity_from_features([f0, f1], cfg)
+        d_sp, d_ch = _feature_diversity([f0, f1])
         return d_sp.node + d_ch.node
 
     return _max_over(
@@ -310,7 +316,6 @@ def _check_combined_loss(rng):
     conv_a = ConvLayer(1, 2, 3, stride=1, padding=1, rng=rng)
     conv_b = ConvLayer(1, 2, 3, stride=1, padding=1, rng=rng)
     head = DenseLayer(2, 3, rng=rng)
-    cfg = SimilarityConfig(sample_count=2)
 
     def scalar(_t):
         xt = Tensor(x)
@@ -318,7 +323,7 @@ def _check_combined_loss(rng):
         fb = relu(conv2d(xt, conv_b))
         logits = linear(global_avg_pool(fa), head)
         cls = softmax_cross_entropy(logits, labels)
-        d_sp, d_ch = diversity_from_features([fa, fb], cfg)
+        d_sp, d_ch = _feature_diversity([fa, fb])
         total, _ = combined_loss(cls, d_ch, d_sp, 1.0)
         return total
 

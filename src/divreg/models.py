@@ -185,14 +185,6 @@ def build_ensemble(class_count: int, branch_max: int = 3, attention_enabled: boo
     return model
 
 
-def ensemble_forward(model: EnsembleModel, batch: Tensor):
-    """Logits per branch plus each branch's last attention maps (None per
-    branch when attention is off)."""
-    logits, maps = model.forward(batch)
-    last = [mp[-1] if mp else None for mp in maps]
-    return logits, last
-
-
 def ensemble_predict(logits_list) -> np.ndarray:
     """Majority vote over branch argmaxes; ties broken by the largest
     summed softmax over the tied classes, then by lowest class index."""
@@ -341,10 +333,6 @@ class DualBranchModel:
 def build_dual_branch(class_count: int, attention_enabled: bool = True, seed: int = 0,
                       input_size: int = 32, lambda_balance: float = 0.6) -> DualBranchModel:
     return DualBranchModel(class_count, attention_enabled, seed, input_size, lambda_balance)
-
-
-def dual_forward(model: DualBranchModel, batch: Tensor) -> DualForward:
-    return model.forward(batch)
 
 
 def dual_predict(global_logits, local_logits, lambda_balance: float) -> np.ndarray:

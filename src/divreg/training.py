@@ -11,8 +11,8 @@ Subtracting diversity rewards dissimilar learners. Each loss takes
 DiversityScores and returns the scalar loss tensor plus a LossBreakdown
 whose total recomposes from the parts. With weight 0 the diversity terms
 never enter the graph, so a weight-0 run and a switches-off run follow
-bit-identical parameter trajectories; scores are still logged through a
-tape-free measurement pass.
+bit-identical parameter trajectories; the scores are still computed, by
+the same tape route, and logged.
 
 The ensemble grows on a schedule: at the start of epoch e (0-based), a
 branch is added when e > 0, e is a multiple of the add interval, and the
@@ -28,8 +28,7 @@ import numpy as np
 
 from .autodiff import Tensor, backward
 from .data import batches
-from .diversity import (DiversityScore, channel_pool, diversity_of_pooled,
-                        measure_diversity, spatial_pool)
+from .diversity import DiversityScore, channel_pool, diversity_of_pooled, spatial_pool
 from .models import (DualBranchModel, EnsembleModel, add_branch, dual_predict,
                      ensemble_predict)
 from .nn import softmax_cross_entropy
@@ -188,31 +187,25 @@ def _mean_or_none(vals):
     return float(np.mean(vals)) if vals else None
 
 
-def _pooled_score(pooled, dimension, cfg, build_node) -> DiversityScore:
-    """Score already-pooled learner tensors; graph node only on request."""
-    if build_node:
-        return diversity_of_pooled(pooled, dimension, gamma=cfg.gamma,
-                                   normalize=cfg.normalize_features)
-    return measure_diversity([p.data for p in pooled], dimension, gamma=cfg.gamma,
-                             normalize=cfg.normalize_features)
+def _pooled_score(pooled, dimension, cfg) -> DiversityScore:
+    return diversity_of_pooled(pooled, dimension, gamma=cfg.gamma,
+                               normalize=cfg.normalize_features)
 
 
-def _map_score(maps_all, which, layer_ids, cfg, build_node) -> DiversityScore:
+def _map_score(maps_all, which, layer_ids, cfg) -> DiversityScore:
     """Diversity of attention maps across branches, averaged over the
     tapped layers."""
     scores = []
     for li in layer_ids:
         pooled = [bm[li].spatial_map if which == "spatial" else bm[li].channel_map
                   for bm in maps_all]
-        scores.append(_pooled_score(pooled, which, cfg, build_node))
+        scores.append(_pooled_score(pooled, which, cfg))
     value = float(np.mean([s.value for s in scores]))
-    node = None
-    if build_node:
-        node = scores[0].node
-        for s in scores[1:]:
-            node = node + s.node
-        if len(scores) > 1:
-            node = node * Tensor(1.0 / len(scores))
+    node = scores[0].node
+    for s in scores[1:]:
+        node = node + s.node
+    if len(scores) > 1:
+        node = node * Tensor(1.0 / len(scores))
     return DiversityScore(value=value, dimension=which, node=node)
 
 
@@ -224,11 +217,10 @@ def _ensemble_step(model: EnsembleModel, xb, yb, cfg):
     if (cfg.diversity_spatial or cfg.diversity_channel) and model.attention_enabled:
         n_layers = len(maps_all[0])
         layer_ids = [n_layers - 1] if cfg.diversity_tap == "last" else list(range(n_layers))
-        build = cfg.diversity_weight != 0.0
         if cfg.diversity_spatial:
-            d_sp = _map_score(maps_all, "spatial", layer_ids, cfg, build)
+            d_sp = _map_score(maps_all, "spatial", layer_ids, cfg)
         if cfg.diversity_channel:
-            d_ch = _map_score(maps_all, "channel", layer_ids, cfg, build)
+            d_ch = _map_score(maps_all, "channel", layer_ids, cfg)
     return esr_loss(branch_losses, d_ch, d_sp, cfg.diversity_weight)
 
 
@@ -239,14 +231,13 @@ def _dual_step(model: DualBranchModel, xb, yb, cfg):
 
     d_sp = d_ch = d_b = None
     if cfg.diversity_spatial or cfg.diversity_channel:
-        build = cfg.diversity_weight != 0.0
         if cfg.diversity_spatial:
             pooled = [spatial_pool(f, op=cfg.pool_op) for f in res.patch_features]
-            d_sp = _pooled_score(pooled, "spatial", cfg, build)
+            d_sp = _pooled_score(pooled, "spatial", cfg)
         if cfg.diversity_channel:
             pooled = [channel_pool(f, op=cfg.pool_op) for f in res.patch_features]
-            d_ch = _pooled_score(pooled, "channel", cfg, build)
-        d_b = _pooled_score(list(res.branch_pooled), "branch", cfg, build)
+            d_ch = _pooled_score(pooled, "channel", cfg)
+        d_b = _pooled_score(list(res.branch_pooled), "branch", cfg)
     return manet_loss(l_local, l_global, d_b, d_sp, d_ch,
                       model.lambda_balance, cfg.diversity_weight)
 
@@ -268,19 +259,28 @@ def _checked_add(model: EnsembleModel, probe_images, epoch: int) -> BranchAddChe
                           bit_exact=bit_exact, max_abs_diff=max_diff)
 
 
-def predict_dataset(model, dataset, batch_size: int = 64) -> np.ndarray:
-    preds = []
+def _predict(model, dataset, batch_size: int):
+    """Combined predictions over the dataset and each branch's own argmax:
+    the ensemble's branches, or [local head, global head] of the dual model."""
     bs = min(batch_size, len(dataset))
-    for xb, yb in batches(dataset, bs, shuffle_seed=None):
+    preds, branch_preds = [], []
+    for xb, _ in batches(dataset, bs, shuffle_seed=None):
         x = Tensor(xb)
         if isinstance(model, EnsembleModel):
             logits, _ = model.forward(x)
             preds.append(ensemble_predict(logits))
+            branch_preds.append([lg.data.argmax(axis=1) for lg in logits])
         else:
             res = model.forward(x)
             preds.append(dual_predict(res.global_logits, res.local_logits,
                                       model.lambda_balance))
-    return np.concatenate(preds)
+            branch_preds.append([res.local_logits.data.argmax(axis=1),
+                                 res.global_logits.data.argmax(axis=1)])
+    return np.concatenate(preds), [np.concatenate(chunks) for chunks in zip(*branch_preds)]
+
+
+def predict_dataset(model, dataset, batch_size: int = 64) -> np.ndarray:
+    return _predict(model, dataset, batch_size)[0]
 
 
 def accuracy(predictions: np.ndarray, labels: np.ndarray) -> float:
@@ -297,33 +297,14 @@ def evaluate(model, dataset, batch_size: int = 64) -> EvalReport:
     Per-branch means each ensemble branch's own argmax; for the dual
     model it is [local head, global head].
     """
-    bs = min(batch_size, len(dataset))
-    preds, branch_preds = [], None
-    for xb, yb in batches(dataset, bs, shuffle_seed=None):
-        x = Tensor(xb)
-        if isinstance(model, EnsembleModel):
-            logits, _ = model.forward(x)
-            preds.append(ensemble_predict(logits))
-            per = [lg.data.argmax(axis=1) for lg in logits]
-        else:
-            res = model.forward(x)
-            preds.append(dual_predict(res.global_logits, res.local_logits,
-                                      model.lambda_balance))
-            per = [res.local_logits.data.argmax(axis=1),
-                   res.global_logits.data.argmax(axis=1)]
-        if branch_preds is None:
-            branch_preds = [[] for _ in per]
-        for chunk_list, arr in zip(branch_preds, per):
-            chunk_list.append(arr)
-    predictions = np.concatenate(preds)
+    predictions, branch_preds = _predict(model, dataset, batch_size)
     labels = dataset.labels
     per_class: list[float | None] = []
     for k in range(dataset.class_count):
         mask = labels == k
         per_class.append(float((predictions[mask] == k).mean()) if mask.any() else None)
-    per_branch = [accuracy(np.concatenate(chunks), labels) for chunks in branch_preds]
-    return EvalReport(accuracy=accuracy(predictions, labels),
-                      per_class=per_class, per_branch=per_branch)
+    return EvalReport(accuracy=accuracy(predictions, labels), per_class=per_class,
+                      per_branch=[accuracy(p, labels) for p in branch_preds])
 
 
 def train(model, train_set, test_set, config, probe_images=None) -> TrainResult:

@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from divreg.autodiff import (ShapeMismatch, Tensor, accumulate, add, backward,
                              concat, exp, grad_check, matmul, mul, narrow, neg,
-                             relu, reshape, sigmoid, tmean, tsum, zero_grads)
+                             relu, reshape, sigmoid, tmean, tsum)
 
 
 def var(data):
@@ -182,22 +182,11 @@ def test_constants_stay_gradless():
     np.testing.assert_array_equal(x.grad, c.data)
 
 
-def test_detach_cuts_graph():
-    x = var([1.0, 2.0])
-    d = (x * x).detach()
-    assert d.requires_grad is False
-    assert d._parents == ()
-    d.data[0] = 99.0
-    assert x.data[0] == 1.0
-
-
-def test_zero_grads_and_accumulate():
+def test_accumulate_sums_into_grad():
     x = var([1.0])
     accumulate(x, np.array([2.0]))
     accumulate(x, np.array([3.0]))
     np.testing.assert_array_equal(x.grad, [5.0])
-    zero_grads([x])
-    assert x.grad is None
 
 
 def test_grad_check_passes_composite():

@@ -5,8 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from divreg.cli import main
+from divreg.autodiff import Tensor
+from divreg.cli import _build_model, _resolved_gammas, main
+from divreg.config import ExperimentConfig
 from divreg.data import load_dataset
+from divreg.diversity import auto_gamma, channel_pool, spatial_pool
 from divreg.models import load_checkpoint
 
 GEN = {"class_count": 3, "samples_per_class": 10, "noise_sigma": 0.05,
@@ -72,6 +75,31 @@ def test_train_outputs(train_out):
     model = load_checkpoint(train_out / "model.dvrg")
     assert model.class_count == 3
     assert len(model.branches) == 2
+
+
+@pytest.mark.parametrize("tap", ["last", "all"])
+@pytest.mark.parametrize("family", ["ensemble", "dual_branch"])
+def test_resolved_gammas_match_pooled_maps(family, tap):
+    cfg = ExperimentConfig.from_dict({"model_family": family, "class_count": 3,
+                                      "diversity_tap": tap})
+    model = _build_model(cfg, 16)
+    resolved = _resolved_gammas(model, cfg)
+    x = Tensor(np.random.default_rng(0).uniform(size=(2, 1, 16, 16)))
+
+    def gamma(t):  # auto gamma of one learner's pooled (N, ...) batch
+        return auto_gamma(t.data.size // t.data.shape[0])
+
+    if family == "ensemble":
+        _, maps = model.forward(x)
+        tapped = maps[0][-1:] if tap == "last" else maps[0]
+        assert resolved["spatial"] == [gamma(m.spatial_map) for m in tapped]
+        channel = {gamma(m.channel_map) for bm in maps for m in bm}
+    else:
+        res = model.forward(x)
+        assert resolved["spatial"] == list({gamma(spatial_pool(f)) for f in res.patch_features})
+        channel = {gamma(channel_pool(f)) for f in res.patch_features}
+        assert {resolved["branch"]} == {gamma(v) for v in res.branch_pooled}
+    assert {resolved["channel"]} == channel
 
 
 def test_metrics_rerun_byte_identical(tmp_path, data_dir):

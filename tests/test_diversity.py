@@ -6,13 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divreg.autodiff import ShapeMismatch, Tensor, backward, tsum
-from divreg.diversity import (DiversityScore, PooledFeature, SimilarityConfig,
-                              SimilarityMatrix, auto_gamma, channel_pool,
-                              det_gradient, det_t, diversity,
-                              diversity_from_features, diversity_of_pooled,
-                              lu_det, measure_diversity, pairwise_similarity,
-                              similarity_matrix, similarity_matrix_t,
-                              spatial_pool, unit_normalize)
+from divreg.diversity import (auto_gamma, channel_pool, det_gradient, det_t,
+                              diversity_of_pooled, lu_det, measure_diversity,
+                              similarity_matrix, similarity_matrix_t, spatial_pool,
+                              unit_normalize)
 
 E_INV = 0.36787944117144233  # frozen: exp(-1)
 ONE_MINUS_E_INV2 = 0.8646647167633873  # frozen: 1 - exp(-2)
@@ -35,7 +32,7 @@ def test_two_learner_frozen_entry_and_det():
     assert s[0, 1] == s[1, 0]
     assert abs(s[0, 1] - E_INV) < 1e-15
     assert s[0, 0] == 1.0 and s[1, 1] == 1.0
-    d = diversity(s, "spatial")
+    d = measure_diversity([a, b], "spatial", gamma=1.0)
     assert abs(d.value - ONE_MINUS_E_INV2) < 1e-15
     assert d.dimension == "spatial"
     assert d.node is None
@@ -61,62 +58,6 @@ def test_auto_gamma_is_inverse_pooled_length():
     # ||a-b||^2 = 16, auto gamma 1/16 -> e^-1
     s = similarity_matrix([a, b])
     assert abs(s[0, 1] - E_INV) < 1e-15
-
-
-def test_similarity_gamma_validation():
-    with pytest.raises(ValueError):
-        SimilarityConfig(sample_count=4, gamma=0.0)
-    with pytest.raises(ValueError):
-        SimilarityConfig(sample_count=0)
-    with pytest.raises(ValueError):
-        SimilarityConfig(sample_count=4, pool_op="median")
-
-
-def test_pairwise_similarity_wraps_and_validates():
-    rng = np.random.default_rng(2)
-    pooled = random_pooled(rng, 3, 4, 5)
-    cfg = SimilarityConfig(sample_count=4, gamma=0.7)
-    sm = pairwise_similarity(pooled, cfg)
-    assert isinstance(sm, SimilarityMatrix)
-    assert sm.size == 3
-    np.testing.assert_array_equal(sm.entries, similarity_matrix(pooled, gamma=0.7))
-    with pytest.raises(ValueError):
-        pairwise_similarity(pooled, SimilarityConfig(sample_count=5, gamma=0.7))
-
-
-def test_pooled_feature_validation():
-    PooledFeature(0, "spatial", np.zeros((1, 4, 4)))
-    PooledFeature(0, "channel", np.zeros((8, 1, 1)))
-    with pytest.raises(ValueError):
-        PooledFeature(0, "spatial", np.zeros((2, 4, 4)))
-    with pytest.raises(ValueError):
-        PooledFeature(0, "channel", np.zeros((8, 2, 1)))
-    with pytest.raises(ValueError):
-        PooledFeature(0, "spatial", np.zeros((4, 4)))
-
-
-def test_pooled_feature_lists_accepted():
-    rng = np.random.default_rng(3)
-    raw = [rng.normal(size=(3, 1, 2, 2)) for _ in range(2)]
-    as_feats = [[PooledFeature(l, "spatial", s) for s in learner]
-                for l, learner in enumerate(raw)]
-    np.testing.assert_array_equal(similarity_matrix(raw, gamma=1.0),
-                                  similarity_matrix(as_feats, gamma=1.0))
-    mixed = [[PooledFeature(0, "spatial", np.zeros((1, 1, 1)))],
-             [PooledFeature(1, "channel", np.zeros((1, 1, 1)))]]
-    with pytest.raises(ValueError):
-        similarity_matrix(mixed)
-
-
-def test_similarity_matrix_class_validation():
-    with pytest.raises(ValueError):
-        SimilarityMatrix(np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        SimilarityMatrix(np.array([[1.0, 0.5], [0.4, 1.0]]))
-    with pytest.raises(ValueError):
-        SimilarityMatrix(np.array([[0.9, 0.5], [0.5, 1.0]]))
-    with pytest.raises(ValueError):
-        SimilarityMatrix(np.array([[1.0, 1.5], [1.5, 1.0]]))
 
 
 def test_lu_det_matches_numpy():
@@ -225,8 +166,8 @@ def test_det_t_backward_is_cofactor_matrix():
 def test_similarity_chain_gradient_reaches_features():
     rng = np.random.default_rng(11)
     feats = [var(rng.normal(size=(2, 3, 4, 4))) for _ in range(3)]
-    cfg = SimilarityConfig(sample_count=2, gamma=0.5)
-    d_sp, d_ch = diversity_from_features(feats, cfg)
+    d_sp = diversity_of_pooled([spatial_pool(f) for f in feats], "spatial", gamma=0.5)
+    d_ch = diversity_of_pooled([channel_pool(f) for f in feats], "channel", gamma=0.5)
     assert d_sp.dimension == "spatial" and d_ch.dimension == "channel"
     backward(d_sp.node + d_ch.node)
     for f in feats:
@@ -235,15 +176,14 @@ def test_similarity_chain_gradient_reaches_features():
         assert np.any(f.grad != 0.0)
 
 
-def test_diversity_from_features_validation():
-    cfg = SimilarityConfig(sample_count=2)
-    with pytest.raises(ValueError):
-        diversity_from_features([], cfg)
-    with pytest.raises(ShapeMismatch):
-        diversity_from_features([var(np.zeros((2, 3, 4, 4))),
-                                 var(np.zeros((2, 3, 4, 5)))], cfg)
-    with pytest.raises(ValueError):
-        diversity_from_features([var(np.zeros((3, 3, 4, 4)))] * 2, cfg)
+def test_similarity_validation():
+    for route, wrap in ((similarity_matrix, np.asarray), (similarity_matrix_t, var)):
+        with pytest.raises(ValueError):
+            route([])
+        with pytest.raises(ShapeMismatch):
+            route([wrap(np.zeros((2, 1, 4, 4))), wrap(np.zeros((2, 1, 4, 5)))])
+        with pytest.raises(ShapeMismatch):
+            route([wrap(np.zeros((2, 3))), wrap(np.zeros((3, 3)))])
 
 
 def test_similarity_permutation_invariant_det():
@@ -290,7 +230,6 @@ def test_similarity_invariants(case):
     assert np.linalg.eigvalsh(s).min() >= -1e-9
     d = lu_det(s)
     assert -1e-9 <= d <= 1.0 + 1e-9
-    SimilarityMatrix(s)  # class invariants accept every produced matrix
 
 
 @settings(max_examples=40, deadline=None)

@@ -7,8 +7,8 @@ from divreg.autodiff import Tensor, backward, tsum
 from divreg.models import (CapacityError, CheckpointFormatError, DualBranchModel,
                            EnsembleModel, _spatial_kernel, add_branch,
                            build_dual_branch, build_ensemble, dual_predict,
-                           ensemble_forward, ensemble_predict, load_checkpoint,
-                           patchify, save_checkpoint, softmax_probs, unpatchify)
+                           ensemble_predict, load_checkpoint, patchify,
+                           save_checkpoint, softmax_probs, unpatchify)
 
 
 def rand_images(n, size, seed=0):
@@ -53,8 +53,8 @@ def test_attention_off_strips_blocks():
     b = model.branches[0]
     assert b.attn1 is None and b.attn2 is None
     assert len(model.parameters()) == 4 + 6
-    logits, last_maps = ensemble_forward(model, Tensor(rand_images(2, 8)))
-    assert last_maps == [None]
+    logits, maps = model.forward(Tensor(rand_images(2, 8)))
+    assert maps == [[]]
 
 
 def test_ensemble_forward_shapes():

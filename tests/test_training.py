@@ -6,11 +6,11 @@ import pytest
 from divreg.autodiff import Tensor, backward
 from divreg.config import ExperimentConfig
 from divreg.data import Dataset, GeneratorConfig, generate
-from divreg.diversity import DiversityScore
+from divreg.diversity import DiversityScore, channel_pool, measure_diversity, spatial_pool
 from divreg.models import build_dual_branch, build_ensemble
 from divreg.training import (SGD, EpochRecord, LossBreakdown, NonFiniteLossError,
-                             combined_loss, esr_loss, evaluate, manet_loss,
-                             predict_dataset, train)
+                             _dual_step, _ensemble_step, combined_loss, esr_loss,
+                             evaluate, manet_loss, predict_dataset, train)
 
 
 def score(value, dimension="spatial", with_node=False):
@@ -113,6 +113,35 @@ def test_weight_zero_skips_penalty_graph():
     assert total is cls  # untouched graph, not a rebuilt equal value
     assert bd.d_ch == 0.5 and bd.d_sp == 0.3  # still observed
     assert bd.total == 2.0
+
+
+@pytest.mark.parametrize("family", ["ensemble", "dual_branch"])
+def test_weight_zero_logs_the_weighted_scores(family):
+    data = tiny_dataset(n=6)
+    x, y = data.images, data.labels
+    if family == "ensemble":
+        model = build_ensemble(4, branch_max=3, initial_branches=3, input_size=8)
+        step = _ensemble_step
+        last = [bm[-1] for bm in model.forward(Tensor(x))[1]]
+        pooled = {"d_sp": ("spatial", [m.spatial_map for m in last]),
+                  "d_ch": ("channel", [m.channel_map for m in last])}
+    else:
+        model = build_dual_branch(4, input_size=8)
+        step = _dual_step
+        res = model.forward(Tensor(x))
+        pooled = {"d_sp": ("spatial", [spatial_pool(f) for f in res.patch_features]),
+                  "d_ch": ("channel", [channel_pool(f) for f in res.patch_features]),
+                  "d_branch": ("branch", list(res.branch_pooled))}
+    _, bd0 = step(model, x, y, tiny_config(model_family=family, diversity_weight=0.0))
+    _, bd1 = step(model, x, y, tiny_config(model_family=family, diversity_weight=1.0))
+    for name in ("d_sp", "d_ch", "d_branch"):
+        assert getattr(bd0, name) == getattr(bd1, name)
+        if name in pooled:
+            dim, maps = pooled[name]
+            oracle = measure_diversity([t.data for t in maps], dim).value
+            assert getattr(bd0, name) == oracle
+        else:
+            assert getattr(bd0, name) is None
 
 
 def test_missing_scores_enter_as_absent():
