@@ -18,7 +18,7 @@ from .models import (AttentionMaps, CapacityError, CheckpointFormatError, DualBr
 from .nn import (AttentionBlock, ConvLayer, DenseLayer, attention_apply, broadcast_mul,
                  conv2d, global_avg_pool, linear, reduce_max, softmax_cross_entropy)
 from .training import (SGD, BranchAddCheck, EpochRecord, EvalReport, LossBreakdown,
-                       NonFiniteLossError, TrainResult, accuracy, combined_loss,
-                       esr_loss, evaluate, manet_loss, predict_dataset, train)
+                       NonFiniteLossError, TrainResult, accuracy, esr_loss, evaluate,
+                       manet_loss, predict_dataset, train)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

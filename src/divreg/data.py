@@ -190,7 +190,10 @@ def load_dataset(path) -> Dataset:
     images = np.frombuffer(buf, dtype="<f4", count=n * h * w,
                            offset=_HEADER_SIZE + 4 * n)
     images = images.astype(np.float64).reshape(n, 1, h, w)
-    return Dataset(images, labels, class_count)
+    try:
+        return Dataset(images, labels, class_count)
+    except ValueError as e:
+        raise DatasetFormatError(f"invalid dataset contents: {e}") from e
 
 
 def batches(dataset: Dataset, batch_size: int, shuffle_seed=None):

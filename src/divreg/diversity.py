@@ -1,7 +1,7 @@
 """Determinant diversity of pooled feature maps.
 
-The chain: pool each learner's C×H×W map across channels (spatial view)
-or across space (channel view), average the RBF similarity
+The chain: pool each learner's (N,C,H,W) map across channels (spatial
+view) or across space (channel view), average the RBF similarity
 ``exp(-gamma * ||a - b||^2)`` of every learner pair over the mini-batch,
 and score diversity as the determinant of the resulting L×L similarity
 matrix. Near 0 when learners are redundant, near 1 when pairwise
@@ -9,11 +9,13 @@ dissimilar.
 
 The plain-array functions (`similarity_matrix`, `lu_det`, `det_gradient`,
 `measure_diversity`) are the test oracle; training uses the tape route
-only: `spatial_pool`/`channel_pool`, then `diversity_of_pooled`, whose
-ops (`similarity_matrix_t`, `det_t`) make the chain differentiable down
-to raw features. The determinant gradient is the explicit cofactor
-(adjugate-transpose) matrix, which stays well-defined at singular
-matrices — exactly the all-identical-features starting point.
+only: `spatial_pool`/`channel_pool`, then `diversity_of_pooled`, which
+records one tape op for the whole similarity matrix
+(`similarity_matrix_t`) and one for its determinant (`det_t`), making
+the chain differentiable down to raw features. The determinant gradient
+is the explicit cofactor (adjugate-transpose) matrix, which stays
+well-defined at singular matrices — exactly the all-identical-features
+starting point.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .autodiff import ShapeMismatch, Tensor, accumulate, exp, reshape, tmean, tsum
+from .autodiff import ShapeMismatch, Tensor, accumulate, reshape, tmean
 from .nn import reduce_max
 
 Dimension = Literal["spatial", "channel", "branch"]
@@ -126,30 +128,21 @@ def det_gradient(matrix: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # differentiable route
 
+def _pool(name: str, feature: Tensor, axis, op: PoolOp) -> Tensor:
+    if feature.data.ndim != 4:
+        raise ShapeMismatch(name, feature.data.shape)
+    reduce = reduce_max if op == "max" else tmean
+    return reduce(feature, axis=axis, keepdims=True)
+
+
 def spatial_pool(feature: Tensor, op: PoolOp = "mean") -> Tensor:
-    """Across-channel pooling: (C,H,W) -> (1,H,W), batched alike."""
-    if feature.data.ndim == 3:
-        axis = 0
-    elif feature.data.ndim == 4:
-        axis = 1
-    else:
-        raise ShapeMismatch("spatial_pool", feature.data.shape)
-    if op == "max":
-        return reduce_max(feature, axis=axis, keepdims=True)
-    return tmean(feature, axis=axis, keepdims=True)
+    """Across-channel pooling: (N,C,H,W) -> (N,1,H,W)."""
+    return _pool("spatial_pool", feature, 1, op)
 
 
 def channel_pool(feature: Tensor, op: PoolOp = "mean") -> Tensor:
-    """Across-space pooling: (C,H,W) -> (C,1,1), batched alike."""
-    if feature.data.ndim == 3:
-        axis = (1, 2)
-    elif feature.data.ndim == 4:
-        axis = (2, 3)
-    else:
-        raise ShapeMismatch("channel_pool", feature.data.shape)
-    if op == "max":
-        return reduce_max(feature, axis=axis, keepdims=True)
-    return tmean(feature, axis=axis, keepdims=True)
+    """Across-space pooling: (N,C,H,W) -> (N,C,1,1)."""
+    return _pool("channel_pool", feature, (2, 3), op)
 
 
 def unit_normalize(x: Tensor) -> Tensor:
@@ -167,47 +160,41 @@ def unit_normalize(x: Tensor) -> Tensor:
     return Tensor.from_op(out, (x,), back, "unit_normalize")
 
 
-def _flatten_samples(t: Tensor) -> Tensor:
-    n = t.data.shape[0]
-    return reshape(t, (n, t.data.size // n))
-
-
 def similarity_matrix_t(pooled: Sequence[Tensor], gamma: float | None = None,
                         normalize: bool = False) -> Tensor:
     """Differentiable (L,L) similarity matrix from per-learner (N,...)
-    pooled tensors; gradient reaches every pooled tensor."""
-    if not pooled:
-        raise ValueError("need at least one learner")
-    flat = [_flatten_samples(p) for p in pooled]
-    shape = flat[0].data.shape
-    for f in flat:
-        if f.data.shape != shape:
-            raise ShapeMismatch("similarity_matrix_t", *(f.data.shape for f in flat))
-    length = len(flat)
+    pooled tensors, recorded as one tape op over all learner pairs.
+
+    The backward sums each pair's gradient into its two learners pair by
+    pair in row-major order, the order a per-pair composition of tape
+    ops would use, so the gradients match it bit for bit. One learner
+    gives the constant 1×1 identity.
+    """
+    feats = _stack_pooled([t.data for t in pooled])
+    length, n, p = feats.shape
     if gamma is None:
-        gamma = auto_gamma(shape[1])
+        gamma = auto_gamma(p)
     if normalize:
-        flat = [unit_normalize(f) for f in flat]
-
-    neg_gamma = Tensor(-gamma)
-    pairs: list[tuple[int, int]] = []
-    entries: list[Tensor] = []
-    for l in range(length):
-        for k in range(l + 1, length):
-            diff = flat[l] - flat[k]
-            d2 = tsum(diff * diff, axis=1)
-            entries.append(tmean(exp(d2 * neg_gamma)))
-            pairs.append((l, k))
-
+        pooled = [unit_normalize(reshape(t, (n, p))) for t in pooled]
+        feats = np.stack([t.data for t in pooled])
+    rows, cols = np.triu_indices(length, 1)
+    diff = feats[rows] - feats[cols]
+    kern = np.exp(-gamma * (diff ** 2).sum(axis=2))
     data = np.eye(length)
-    for (l, k), e in zip(pairs, entries):
-        data[l, k] = data[k, l] = float(e.data)
+    data[rows, cols] = data[cols, rows] = kern.mean(axis=1)
 
     def back(g):
-        for (l, k), e in zip(pairs, entries):
-            accumulate(e, np.asarray(g[l, k] + g[k, l]))
+        w = (g[rows, cols] + g[cols, rows])[:, None] / n * kern * (-gamma)
+        dpair = 2.0 * (w[:, :, None] * diff)
+        dfeat = np.zeros_like(feats)
+        for d, l, k in zip(dpair, rows, cols):
+            dfeat[l] += d
+            dfeat[k] -= d
+        for t, d in zip(pooled, dfeat):
+            accumulate(t, d.reshape(t.data.shape))
 
-    return Tensor.from_op(data, tuple(entries), back, "similarity_assemble")
+    parents = tuple(pooled) if length > 1 else ()
+    return Tensor.from_op(data, parents, back, "similarity")
 
 
 def det_t(similarity: Tensor) -> Tensor:

@@ -23,7 +23,7 @@ from .diversity import (channel_pool, det_gradient, det_t, diversity_of_pooled,
 from .models import build_dual_branch, build_ensemble
 from .nn import (AttentionBlock, ConvLayer, DenseLayer, attention_apply, broadcast_mul,
                  conv2d, global_avg_pool, linear, reduce_max, softmax_cross_entropy)
-from .training import combined_loss, esr_loss, manet_loss
+from .training import esr_loss, manet_loss
 
 OP_TOL = 1e-5
 COMPOSITE_TOL = 1e-4
@@ -191,18 +191,12 @@ def _check_broadcast_mul(rng):
 def _check_softmax_cross_entropy(rng):
     logits = _var(rng.normal(size=(4, 5)))
     labels = np.array([1, 0, 4, 2])
-    single = _var(rng.normal(size=5))
-    return _max_over(
-        grad_check(lambda t: softmax_cross_entropy(t, labels), logits),
-        grad_check(lambda t: softmax_cross_entropy(t, 3), single))
+    return grad_check(lambda t: softmax_cross_entropy(t, labels), logits)
 
 
 def _check_global_avg_pool(rng):
     x = _var(rng.normal(size=(2, 3, 4, 4)))
-    x3 = _var(rng.normal(size=(3, 4, 4)))
-    return _max_over(
-        grad_check(lambda t: _mix(global_avg_pool(t), _rng(134)), x),
-        grad_check(lambda t: _mix(global_avg_pool(t), _rng(135)), x3))
+    return grad_check(lambda t: _mix(global_avg_pool(t), _rng(134)), x)
 
 
 def _check_attention(rng):
@@ -311,6 +305,8 @@ def _check_diversity_chain(rng):
 # --- composite losses ------------------------------------------------------
 
 def _check_combined_loss(rng):
+    """One classifier's loss minus weighted D_ch + D_sp of two conv
+    features: the single-branch `esr_loss`."""
     x = np.clip(rng.normal(0.4, 0.25, (2, 1, 6, 6)), 0.0, 1.0)
     labels = np.array([0, 1])
     conv_a = ConvLayer(1, 2, 3, stride=1, padding=1, rng=rng)
@@ -324,7 +320,7 @@ def _check_combined_loss(rng):
         logits = linear(global_avg_pool(fa), head)
         cls = softmax_cross_entropy(logits, labels)
         d_sp, d_ch = _feature_diversity([fa, fb])
-        total, _ = combined_loss(cls, d_ch, d_sp, 1.0)
+        total, _ = esr_loss([cls], d_ch, d_sp, 1.0)
         return total
 
     return _max_over(

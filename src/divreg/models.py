@@ -16,6 +16,7 @@ parameter data, all little-endian. Round trips are bit exact.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -384,17 +385,6 @@ def load_checkpoint(path):
         raise CheckpointFormatError(f"implausible branch counts {count}/{cap}")
     attention = bool(flags & 1)
 
-    if family == FAMILY_ENSEMBLE:
-        model = build_ensemble(class_count, branch_max=cap, attention_enabled=attention,
-                               seed=seed, input_size=input_size, initial_branches=count)
-    else:
-        model = build_dual_branch(class_count, attention_enabled=attention, seed=seed,
-                                  input_size=input_size, lambda_balance=lam)
-    params = model.parameters()
-    if param_count != len(params):
-        raise CheckpointFormatError(
-            f"parameter count mismatch: file has {param_count}, model needs {len(params)}")
-
     offset = _HEADER_SIZE
     shapes = []
     for i in range(param_count):
@@ -404,20 +394,34 @@ def load_checkpoint(path):
         offset += 4
         if ndim > 8 or offset + 4 * ndim > len(buf):
             raise CheckpointFormatError(f"truncated shape table at parameter {i}")
-        shape = struct.unpack_from(f"<{ndim}I", buf, offset)
+        shapes.append(struct.unpack_from(f"<{ndim}I", buf, offset))
         offset += 4 * ndim
-        shapes.append(shape)
+    expected = offset + 8 * sum(math.prod(shape) for shape in shapes)
+    if len(buf) < expected:
+        raise CheckpointFormatError(
+            f"truncated checkpoint: {len(buf)} bytes, shape table promises {expected}")
+    if len(buf) > expected:
+        raise CheckpointFormatError(f"{len(buf) - expected} trailing bytes after parameter data")
+
+    try:
+        if family == FAMILY_ENSEMBLE:
+            model = build_ensemble(class_count, branch_max=cap, attention_enabled=attention,
+                                   seed=seed, input_size=input_size, initial_branches=count)
+        else:
+            model = build_dual_branch(class_count, attention_enabled=attention, seed=seed,
+                                      input_size=input_size, lambda_balance=lam)
+    except ValueError as e:
+        raise CheckpointFormatError(f"header describes no valid model: {e}") from e
+    params = model.parameters()
+    if param_count != len(params):
+        raise CheckpointFormatError(
+            f"parameter count mismatch: file has {param_count}, model needs {len(params)}")
     for i, (p, shape) in enumerate(zip(params, shapes)):
         if p.data.shape != shape:
             raise CheckpointFormatError(
                 f"parameter {i} shape mismatch: file says {shape}, model says {p.data.shape}")
     for p in params:
-        nbytes = p.data.size * 8
-        if offset + nbytes > len(buf):
-            raise CheckpointFormatError("truncated checkpoint: parameter data ends early")
         arr = np.frombuffer(buf, dtype="<f8", count=p.data.size, offset=offset)
         p.data = arr.astype(np.float64).reshape(p.data.shape)
-        offset += nbytes
-    if offset != len(buf):
-        raise CheckpointFormatError(f"{len(buf) - offset} trailing bytes after parameter data")
+        offset += p.data.size * 8
     return model

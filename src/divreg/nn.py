@@ -3,6 +3,8 @@
 Convolution, affine layers, max reduction, the masked broadcast multiply
 used for attention gating, stable softmax cross-entropy, and the
 channel/spatial attention block whose maps feed the diversity machinery.
+Every primitive takes batched input only: (N,C,H,W) feature maps and
+(N,K) logits; any other rank raises ``ShapeMismatch``.
 
 All primitives register custom backwards via ``Tensor.from_op`` and are
 covered by finite-difference checks in the verification suite.
@@ -61,10 +63,7 @@ class ConvLayer:
 
 
 def conv2d(x: Tensor, layer: ConvLayer) -> Tensor:
-    """Cross-correlation plus bias for (C,H,W) or (N,C,H,W) input."""
-    single = x.data.ndim == 3
-    if single:
-        x = reshape(x, (1,) + x.data.shape)
+    """Cross-correlation plus bias for (N,C,H,W) input."""
     if x.data.ndim != 4:
         raise ShapeMismatch("conv2d", x.data.shape)
     n, ci, h, w = x.data.shape
@@ -97,10 +96,7 @@ def conv2d(x: Tensor, layer: ConvLayer) -> Tensor:
                     dcol[:, :, :, :, ki, kj].transpose(0, 3, 1, 2)
         accumulate(x, dxp[:, :, p:p + h, p:p + w] if p else dxp)
 
-    res = Tensor.from_op(out, (x, wt, bt), back, "conv2d")
-    if single:
-        res = reshape(res, res.data.shape[1:])
-    return res
+    return Tensor.from_op(out, (x, wt, bt), back, "conv2d")
 
 
 class DenseLayer:
@@ -188,16 +184,15 @@ def broadcast_mul(x: Tensor, m: Tensor) -> Tensor:
 
 
 def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
-    """Mean cross-entropy of (K,) logits with an int label, or (N,K) with
-    an int array; log-sum-exp stabilized, gradient = softmax - one_hot."""
-    single = logits.data.ndim == 1
-    ld = logits.data[None, :] if single else logits.data
+    """Mean cross-entropy of (N,K) logits with an (N,) int label array;
+    log-sum-exp stabilized, gradient = softmax - one_hot."""
+    ld = logits.data
     if ld.ndim != 2:
-        raise ShapeMismatch("softmax_cross_entropy", logits.data.shape)
-    lab = np.atleast_1d(np.asarray(labels, dtype=np.int64))
+        raise ShapeMismatch("softmax_cross_entropy", ld.shape)
+    lab = np.asarray(labels, dtype=np.int64)
     n, k = ld.shape
     if lab.shape != (n,):
-        raise ShapeMismatch("softmax_cross_entropy", logits.data.shape, lab.shape)
+        raise ShapeMismatch("softmax_cross_entropy", ld.shape, lab.shape)
     if lab.min() < 0 or lab.max() >= k:
         raise ValueError(f"softmax_cross_entropy: label out of range for {k} classes")
 
@@ -211,24 +206,22 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
         p = ez / se[:, None]
         p[np.arange(n), lab] -= 1.0
         p *= float(g) / n
-        accumulate(logits, p[0] if single else p)
+        accumulate(logits, p)
 
     return Tensor.from_op(out, (logits,), back, "softmax_cross_entropy")
 
 
 def global_avg_pool(feature: Tensor) -> Tensor:
-    """Per-channel spatial mean: (C,H,W) -> (C,) or (N,C,H,W) -> (N,C)."""
-    if feature.data.ndim == 3:
-        return tmean(feature, axis=(1, 2))
-    if feature.data.ndim == 4:
-        return tmean(feature, axis=(2, 3))
-    raise ShapeMismatch("global_avg_pool", feature.data.shape)
+    """Per-channel spatial mean: (N,C,H,W) -> (N,C)."""
+    if feature.data.ndim != 4:
+        raise ShapeMismatch("global_avg_pool", feature.data.shape)
+    return tmean(feature, axis=(2, 3))
 
 
 @dataclass
 class AttentionMaps:
-    """Gating maps from one attention block: channel (C,1,1) / (N,C,1,1)
-    and spatial (1,H,W) / (N,1,H,W), each sigmoid-bounded in (0,1)."""
+    """Gating maps from one attention block: channel (N,C,1,1) and spatial
+    (N,1,H,W), each sigmoid-bounded in (0,1)."""
     channel_map: Tensor
     spatial_map: Tensor
 
@@ -253,31 +246,23 @@ class AttentionBlock:
 
 
 def attention_apply(feature: Tensor, block: AttentionBlock) -> tuple[Tensor, AttentionMaps]:
-    """Refine ``feature`` by channel then spatial gating; returns the
-    refined map and both attention maps (the diversity block's inputs)."""
-    single = feature.data.ndim == 3
-    x = reshape(feature, (1,) + feature.data.shape) if single else feature
-    if x.data.ndim != 4:
+    """Refine an (N,C,H,W) ``feature`` by channel then spatial gating;
+    returns the refined map and both attention maps (the diversity block's
+    inputs)."""
+    if feature.data.ndim != 4 or feature.data.shape[1] != block.channels:
         raise ShapeMismatch("attention_apply", feature.data.shape)
-    n, c, h, w = x.data.shape
-    if c != block.channels:
-        raise ShapeMismatch("attention_apply", feature.data.shape)
+    n, c = feature.data.shape[:2]
 
     def mlp(d):
         return linear(relu(linear(d, block.fc1)), block.fc2)
 
-    avg_desc = tmean(x, axis=(2, 3))
-    max_desc = reduce_max(x, axis=(2, 3))
+    avg_desc = tmean(feature, axis=(2, 3))
+    max_desc = reduce_max(feature, axis=(2, 3))
     ch_map = reshape(sigmoid(mlp(avg_desc) + mlp(max_desc)), (n, c, 1, 1))
-    xc = broadcast_mul(x, ch_map)
+    xc = broadcast_mul(feature, ch_map)
 
     sp_stack = concat([tmean(xc, axis=1, keepdims=True),
                        reduce_max(xc, axis=1, keepdims=True)], axis=1)
     sp_map = sigmoid(conv2d(sp_stack, block.spatial_conv))
     refined = broadcast_mul(xc, sp_map)
-
-    if single:
-        refined = reshape(refined, (c, h, w))
-        ch_map = reshape(ch_map, (c, 1, 1))
-        sp_map = reshape(sp_map, (1, h, w))
     return refined, AttentionMaps(channel_map=ch_map, spatial_map=sp_map)

@@ -1,9 +1,8 @@
 """Training: momentum SGD, loss compositions, and the epoch loop.
 
-The three losses share one shape, classification minus a weighted sum of
+The two losses share one shape, classification minus a weighted sum of
 diversity scores:
 
-  combined: L - w (D_ch + D_sp)
   ensemble: sum_b L_b - w (D_ch + D_sp), diversity over branch attention maps
   dual:     lam L_local + (1-lam) L_global - w (D_b + D_sp + D_ch)
 
@@ -109,15 +108,6 @@ def _penalty_terms(total: Tensor, scores, weight: float) -> Tensor:
     for t in terms[1:]:
         penalty = penalty + t
     return total + penalty * Tensor(-weight)
-
-
-def combined_loss(cls_loss: Tensor, d_ch: DiversityScore | None,
-                  d_sp: DiversityScore | None, weight: float):
-    """L - weight (D_ch + D_sp) -> (scalar tensor, LossBreakdown)."""
-    total = _penalty_terms(cls_loss, (d_ch, d_sp), weight)
-    bd = LossBreakdown(classification=float(cls_loss.data), d_sp=_score_value(d_sp),
-                       d_ch=_score_value(d_ch), d_branch=None, total=float(total.data))
-    return total, bd
 
 
 def esr_loss(branch_losses, d_ch: DiversityScore | None,

@@ -163,6 +163,14 @@ def test_dataset_format_errors(tmp_path):
     with pytest.raises(DatasetFormatError, match="label"):
         load_dataset(bad)
 
+    pixel = 24 + 4 * len(train)  # first float32 pixel, after header and labels
+    for value in (2.0, float("nan")):
+        mutated = bytearray(raw)
+        mutated[pixel:pixel + 4] = np.float32(value).tobytes()
+        bad.write_bytes(bytes(mutated))
+        with pytest.raises(DatasetFormatError, match="image"):
+            load_dataset(bad)
+
 
 def test_batches_cover_dataset_in_order():
     ds_train, _ = generate(GeneratorConfig(class_count=2, samples_per_class=10))

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divreg.autodiff import ShapeMismatch, Tensor, backward, tsum
+from divreg.autodiff import (ShapeMismatch, Tensor, accumulate, add, backward, exp, mul,
+                             neg, reshape, tmean, tsum)
 from divreg.diversity import (auto_gamma, channel_pool, det_gradient, det_t,
                               diversity_of_pooled, lu_det, measure_diversity,
                               similarity_matrix, similarity_matrix_t, spatial_pool,
@@ -108,12 +109,14 @@ def test_spatial_channel_pool_shapes():
     assert ch.data.shape == (2, 3, 1, 1)
     np.testing.assert_array_equal(sp.data, d.mean(axis=1, keepdims=True))
     np.testing.assert_array_equal(ch.data, d.mean(axis=(2, 3), keepdims=True))
-    sp3 = spatial_pool(Tensor(d[0]))
-    assert sp3.data.shape == (1, 4, 4)
-    assert channel_pool(Tensor(d[0])).data.shape == (3, 1, 1)
-    np.testing.assert_array_equal(sp3.data, d[0].mean(axis=0, keepdims=True))
-    with pytest.raises(ShapeMismatch):
-        spatial_pool(Tensor(np.zeros((4, 4))))
+    sp1 = spatial_pool(Tensor(d[:1]))
+    assert sp1.data.shape == (1, 1, 4, 4)
+    assert channel_pool(Tensor(d[:1])).data.shape == (1, 3, 1, 1)
+    np.testing.assert_array_equal(sp1.data, d[:1].mean(axis=1, keepdims=True))
+    for pool in (spatial_pool, channel_pool):
+        for shape in ((4, 4), (3, 4, 4)):  # batched input only
+            with pytest.raises(ShapeMismatch):
+                pool(Tensor(np.zeros(shape)))
 
 
 def test_max_pool_op():
@@ -143,6 +146,64 @@ def test_tensor_route_matches_array_route_bitwise():
         sa = similarity_matrix(pooled, gamma=0.9, normalize=normalize)
         assert np.array_equal(st_.data, sa)  # same op order, same floats
         assert float(det_t(Tensor(sa)).data) == lu_det(sa)
+
+
+def per_pair_similarity(pooled, gamma, normalize):
+    """The per-pair composition of tape ops that `similarity_matrix_t`
+    replaces (seven nodes per learner pair): the oracle for its gradients."""
+    n = pooled[0].data.shape[0]
+    flat = [reshape(t, (n, t.data.size // n)) for t in pooled]
+    if normalize:
+        flat = [unit_normalize(f) for f in flat]
+    neg_gamma = Tensor(-gamma)
+    pairs, entries = [], []
+    for l in range(len(flat)):
+        for k in range(l + 1, len(flat)):
+            diff = add(flat[l], neg(flat[k]))
+            d2 = tsum(mul(diff, diff), axis=1)
+            entries.append(tmean(exp(mul(d2, neg_gamma))))
+            pairs.append((l, k))
+    data = np.eye(len(flat))
+    for (l, k), e in zip(pairs, entries):
+        data[l, k] = data[k, l] = float(e.data)
+
+    def back(g):
+        for (l, k), e in zip(pairs, entries):
+            accumulate(e, np.asarray(g[l, k] + g[k, l]))
+
+    return Tensor.from_op(data, tuple(entries), back, "similarity_assemble")
+
+
+def test_similarity_is_one_tape_op():
+    rng = np.random.default_rng(13)
+    pooled = [var(rng.normal(size=(3, 1, 2, 2))) for _ in range(3)]
+    s = similarity_matrix_t(pooled, gamma=0.5)
+    assert len(s._parents) == 3
+    assert all(parent is t for parent, t in zip(s._parents, pooled))
+    assert not similarity_matrix_t(pooled[:1]).requires_grad  # constant [[1]]
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+def test_similarity_gradient_bitwise_equals_per_pair_tape(normalize):
+    # from four learners on, each learner's gradient sums three or more
+    # pair terms, so a different summation order would change the bits
+    rng = np.random.default_rng(14)
+    for learners in range(1, 9):
+        data = [rng.normal(size=(5, 2, 2, 2)) for _ in range(learners)]
+        upstream = Tensor(rng.normal(size=(learners, learners)))
+        grads = []
+        for build in (similarity_matrix_t, per_pair_similarity):
+            pooled = [var(d) for d in data]
+            s = build(pooled, 0.3, normalize)
+            assert np.array_equal(s.data, similarity_matrix(data, gamma=0.3,
+                                                            normalize=normalize))
+            if learners == 1:
+                assert not s.requires_grad
+                continue
+            backward(tsum(s * upstream))
+            grads.append([t.grad.tobytes() for t in pooled])
+        if learners > 1:
+            assert grads[0] == grads[1], learners
 
 
 def test_measure_equals_differentiable_score():

@@ -1,8 +1,11 @@
 """Ensemble and dual-branch model structure, growth, and checkpoints."""
 
+import struct
+
 import numpy as np
 import pytest
 
+from divreg import models
 from divreg.autodiff import Tensor, backward, tsum
 from divreg.models import (CapacityError, CheckpointFormatError, DualBranchModel,
                            EnsembleModel, _spatial_kernel, add_branch,
@@ -274,6 +277,30 @@ def test_checkpoint_error_cases(tmp_path):
     bad.write_bytes(bytes(wrong_family))
     with pytest.raises(CheckpointFormatError, match="family"):
         load_checkpoint(bad)
+
+
+def test_checkpoint_invalid_header_values_are_format_errors(tmp_path):
+    path = tmp_path / "d.dvrg"
+    save_checkpoint(build_dual_branch(3, input_size=8), path)
+    raw = bytearray(path.read_bytes())
+    raw[44:52] = struct.pack("<d", 1.5)  # lambda, the header's last field
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointFormatError, match="lambda"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_length_checked_before_building(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        pytest.fail("the model was built before the file length was checked")
+
+    monkeypatch.setattr(models, "build_ensemble", refuse)
+    path = tmp_path / "huge.dvrg"
+    # header only: 4096 attended branches, 4 base + 18 per-branch parameters
+    path.write_bytes(struct.pack(models._HEADER_FMT, models.CHECKPOINT_MAGIC,
+                                 models.CHECKPOINT_VERSION, models.FAMILY_ENSEMBLE,
+                                 1, 4096, 4096, 4, 32, 4 + 18 * 4096, 0, 0.0))
+    with pytest.raises(CheckpointFormatError, match="truncated"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_rejects_unknown_model_type(tmp_path):

@@ -65,16 +65,6 @@ def test_conv2d_matches_loop_oracle(stride, padding):
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
-def test_conv2d_unbatched_equals_batch_of_one():
-    rng = np.random.default_rng(3)
-    layer = ConvLayer(2, 3, 3, padding=1, rng=rng)
-    x = rng.normal(size=(2, 5, 5))
-    single = conv2d(Tensor(x), layer).data
-    batched = conv2d(Tensor(x[None]), layer).data
-    assert single.shape == (3, 5, 5)
-    np.testing.assert_array_equal(single, batched[0])
-
-
 def test_conv2d_one_by_one_identity_kernel():
     layer = ConvLayer(2, 2, 1)
     layer.weights.data = np.eye(2).reshape(2, 2, 1, 1)
@@ -86,8 +76,9 @@ def test_conv2d_rejects_wrong_channels():
     layer = ConvLayer(3, 4, 3)
     with pytest.raises(ShapeMismatch):
         conv2d(Tensor(np.zeros((1, 2, 5, 5))), layer)
-    with pytest.raises(ShapeMismatch):
-        conv2d(Tensor(np.zeros((5, 5))), layer)
+    for shape in ((5, 5), (3, 5, 5)):  # batched input only
+        with pytest.raises(ShapeMismatch):
+            conv2d(Tensor(np.zeros(shape)), layer)
 
 
 def test_conv2d_input_gradient_matches_oracle_fd():
@@ -173,13 +164,13 @@ def test_broadcast_mul_shapes_and_grads():
 
 def test_cross_entropy_frozen_value():
     # frozen oracle: -log softmax([1,2,3])[2]
-    loss = softmax_cross_entropy(Tensor([1.0, 2.0, 3.0]), 2)
+    loss = softmax_cross_entropy(Tensor([[1.0, 2.0, 3.0]]), np.array([2]))
     assert abs(float(loss.data) - 0.4076059644443804) < 1e-15
 
 
 def test_cross_entropy_uniform_is_log_k():
     for k in (2, 8):
-        loss = softmax_cross_entropy(Tensor(np.zeros(k)), 0)
+        loss = softmax_cross_entropy(Tensor(np.zeros((1, k))), np.array([0]))
         np.testing.assert_allclose(float(loss.data), np.log(k), rtol=1e-15)
 
 
@@ -187,7 +178,7 @@ def test_cross_entropy_batch_is_mean_of_rows():
     logits = np.array([[1.0, 2.0, 3.0], [0.5, -0.5, 0.0]])
     labels = np.array([2, 0])
     batch = float(softmax_cross_entropy(Tensor(logits), labels).data)
-    singles = [float(softmax_cross_entropy(Tensor(row), lab).data)
+    singles = [float(softmax_cross_entropy(Tensor(row[None]), np.array([lab])).data)
                for row, lab in zip(logits, labels)]
     np.testing.assert_allclose(batch, np.mean(singles), rtol=1e-15)
 
@@ -204,26 +195,29 @@ def test_cross_entropy_gradient_is_softmax_minus_onehot():
 
 def test_cross_entropy_stable_at_large_logits():
     with np.errstate(over="raise"):
-        loss = softmax_cross_entropy(Tensor([1000.0, 0.0]), 0)
+        loss = softmax_cross_entropy(Tensor([[1000.0, 0.0]]), np.array([0]))
     assert float(loss.data) < 1e-12
 
 
 def test_cross_entropy_label_out_of_range():
-    with pytest.raises(ValueError):
-        softmax_cross_entropy(Tensor([0.0, 0.0]), 2)
-    with pytest.raises(ValueError):
-        softmax_cross_entropy(Tensor([0.0, 0.0]), -1)
+    for label in (2, -1):
+        with pytest.raises(ValueError, match="out of range"):
+            softmax_cross_entropy(Tensor([[0.0, 0.0]]), np.array([label]))
     with pytest.raises(ShapeMismatch):
         softmax_cross_entropy(Tensor(np.zeros((2, 3))), np.array([0, 1, 2]))
+    with pytest.raises(ShapeMismatch):  # batched logits only
+        softmax_cross_entropy(Tensor([0.0, 0.0]), 0)
 
 
 def test_global_avg_pool_shapes():
-    d3 = np.random.default_rng(0).normal(size=(3, 4, 5))
-    np.testing.assert_array_equal(global_avg_pool(Tensor(d3)).data, d3.mean(axis=(1, 2)))
-    d4 = d3[None]
+    d4 = np.random.default_rng(0).normal(size=(2, 3, 4, 5))
     np.testing.assert_array_equal(global_avg_pool(Tensor(d4)).data, d4.mean(axis=(2, 3)))
-    with pytest.raises(ShapeMismatch):
-        global_avg_pool(Tensor(np.zeros((3, 4))))
+    one = global_avg_pool(Tensor(d4[:1])).data
+    assert one.shape == (1, 3)
+    np.testing.assert_array_equal(one, d4[:1].mean(axis=(2, 3)))
+    for shape in ((3, 4), (3, 4, 5)):  # batched input only
+        with pytest.raises(ShapeMismatch):
+            global_avg_pool(Tensor(np.zeros(shape)))
 
 
 def test_attention_block_validation_and_params():
@@ -248,23 +242,12 @@ def test_attention_apply_shapes_and_ranges():
         assert m.min() > 0.0 and m.max() < 1.0
 
 
-def test_attention_apply_single_equals_batch_of_one():
-    rng = np.random.default_rng(2)
-    block = AttentionBlock(4, reduction=2, spatial_kernel=3, rng=rng)
-    x = rng.normal(size=(4, 5, 5))
-    r3, m3 = attention_apply(Tensor(x), block)
-    r4, m4 = attention_apply(Tensor(x[None]), block)
-    assert r3.data.shape == (4, 5, 5)
-    assert m3.channel_map.data.shape == (4, 1, 1)
-    assert m3.spatial_map.data.shape == (1, 5, 5)
-    np.testing.assert_array_equal(r3.data, r4.data[0])
-    np.testing.assert_array_equal(m3.channel_map.data, m4.channel_map.data[0])
-
-
 def test_attention_apply_rejects_channel_mismatch():
     block = AttentionBlock(4, reduction=2, spatial_kernel=3)
     with pytest.raises(ShapeMismatch):
         attention_apply(Tensor(np.zeros((2, 3, 5, 5))), block)
+    with pytest.raises(ShapeMismatch):  # batched input only
+        attention_apply(Tensor(np.zeros((4, 5, 5))), block)
 
 
 def test_attention_gating_is_multiplicative():

@@ -9,7 +9,7 @@ from divreg.data import Dataset, GeneratorConfig, generate
 from divreg.diversity import DiversityScore, channel_pool, measure_diversity, spatial_pool
 from divreg.models import build_dual_branch, build_ensemble
 from divreg.training import (SGD, EpochRecord, LossBreakdown, NonFiniteLossError,
-                             _dual_step, _ensemble_step, combined_loss, esr_loss,
+                             _dual_step, _ensemble_step, esr_loss,
                              evaluate, manet_loss, predict_dataset, train)
 
 
@@ -67,21 +67,14 @@ def test_sgd_validation_and_zero_grad():
     assert p.grad is None
 
 
-def test_combined_loss_frozen():
-    # frozen: 2.0 - 1*(0.5 + 0.3) = 1.2
-    total, bd = combined_loss(Tensor(2.0), score(0.5, "channel"), score(0.3), 1.0)
-    assert float(total.data) == pytest.approx(1.2, abs=1e-15)
-    assert bd.classification == 2.0
-    assert bd.d_ch == 0.5 and bd.d_sp == 0.3 and bd.d_branch is None
-    assert bd.total == float(total.data)
-
-
 def test_esr_loss_frozen():
     # frozen: (1+2+3) - 1*(0.4 + 0.6) = 5.0
     losses = [Tensor(v) for v in (1.0, 2.0, 3.0)]
     total, bd = esr_loss(losses, score(0.4, "channel"), score(0.6), 1.0)
     assert float(total.data) == pytest.approx(5.0, abs=1e-15)
     assert bd.classification == 6.0
+    assert bd.d_ch == 0.4 and bd.d_sp == 0.6 and bd.d_branch is None
+    assert bd.total == float(total.data)
     with pytest.raises(ValueError):
         esr_loss([], None, None, 1.0)
 
@@ -102,14 +95,14 @@ def test_losses_recompose_from_breakdown():
                            score(0.23), score(0.31, "channel"), 0.6, 0.8)
     recomposed = bd.classification - 0.8 * (bd.d_branch + bd.d_sp + bd.d_ch)
     assert abs(bd.total - recomposed) < 1e-12
-    total2, bd2 = combined_loss(Tensor(1.7), score(0.11, "channel"), score(0.23), 0.5)
+    total2, bd2 = esr_loss([Tensor(1.7)], score(0.11, "channel"), score(0.23), 0.5)
     assert abs(bd2.total - (bd2.classification - 0.5 * (bd2.d_ch + bd2.d_sp))) < 1e-12
 
 
 def test_weight_zero_skips_penalty_graph():
     cls = Tensor(2.0, requires_grad=True)
-    total, bd = combined_loss(cls, score(0.5, "channel", with_node=True),
-                              score(0.3, with_node=True), 0.0)
+    total, bd = esr_loss([cls], score(0.5, "channel", with_node=True),
+                         score(0.3, with_node=True), 0.0)
     assert total is cls  # untouched graph, not a rebuilt equal value
     assert bd.d_ch == 0.5 and bd.d_sp == 0.3  # still observed
     assert bd.total == 2.0
@@ -145,7 +138,7 @@ def test_weight_zero_logs_the_weighted_scores(family):
 
 
 def test_missing_scores_enter_as_absent():
-    total, bd = combined_loss(Tensor(2.0), None, score(0.3), 1.0)
+    total, bd = esr_loss([Tensor(2.0)], None, score(0.3), 1.0)
     assert float(total.data) == pytest.approx(1.7, abs=1e-15)
     assert bd.d_ch is None
     total2, bd2 = esr_loss([Tensor(1.0)], None, None, 1.0)
@@ -157,7 +150,7 @@ def test_penalty_gradient_direction():
     d_sp = score(0.3, with_node=True)
     d_ch = score(0.2, "channel", with_node=True)
     cls = Tensor(1.0, requires_grad=True)
-    total, _ = combined_loss(cls, d_ch, d_sp, 2.0)
+    total, _ = esr_loss([cls], d_ch, d_sp, 2.0)
     backward(total)
     assert float(cls.grad) == 1.0
     assert float(d_sp.node.grad) == -2.0
