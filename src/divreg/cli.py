@@ -18,9 +18,9 @@ from pathlib import Path
 from .config import ConfigError, ExperimentConfig
 from .data import DatasetFormatError, GeneratorConfig, generate, load_dataset, save_dataset
 from .gradcheck import report_json, report_text, run_suite
-from .models import (BRANCH_CHANNELS, CheckpointFormatError, EnsembleModel,
-                     build_dual_branch, build_ensemble, load_checkpoint, save_checkpoint)
-from .training import NonFiniteLossError, evaluate, train
+from .models import (CheckpointFormatError, EnsembleModel, build_dual_branch, build_ensemble,
+                     load_checkpoint, save_checkpoint)
+from .training import NonFiniteLossError, evaluate, resolved_gammas, train
 
 _METRIC_COLUMNS = ("epoch", "branch_count", "train_acc", "test_acc",
                    "loss_total", "loss_cls", "d_sp", "d_ch", "d_branch")
@@ -102,25 +102,6 @@ def _build_model(cfg: ExperimentConfig, input_size: int):
                              lambda_balance=cfg.lambda_balance)
 
 
-def _resolved_gammas(model, cfg: ExperimentConfig) -> dict:
-    """The gamma each similarity matrix actually uses (auto = 1/P)."""
-    if cfg.gamma is not None:
-        return {"configured": cfg.gamma}
-    out = {}
-    if isinstance(model, EnsembleModel):
-        size1 = model.base.out_size
-        size2, _ = model.branches[0].conv2.out_size(size1, size1)
-        sizes = [size2] if cfg.diversity_tap == "last" else [size1, size2]
-        out["spatial"] = [1.0 / (s * s) for s in sizes]
-        out["channel"] = 1.0 / BRANCH_CHANNELS
-    else:
-        patch = model.backbone.out_size // 2
-        out["spatial"] = [1.0 / (patch * patch)]
-        out["channel"] = 1.0 / BRANCH_CHANNELS
-        out["branch"] = 1.0 / BRANCH_CHANNELS
-    return out
-
-
 def _record_dict(r) -> dict:
     return {c: getattr(r, c) for c in _METRIC_COLUMNS}
 
@@ -149,7 +130,7 @@ def _run_training(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> dict:
         "config": cfg.to_dict(),
         "seed": cfg.seed,
         "model_family": cfg.model_family,
-        "gamma_resolved": _resolved_gammas(model, cfg),
+        "gamma_resolved": resolved_gammas(model, train_set.images[:1], cfg),
         "dataset_checksums": checksums,
         "final": _record_dict(result.records[-1]),
         "branch_add_checks": [

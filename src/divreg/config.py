@@ -3,9 +3,13 @@ validation errors, so a bad config dies loudly before any compute."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 MODEL_FAMILIES = ("ensemble", "dual_branch")
+
+# keys only one family's model or training step reads; the other rejects them
+_FAMILY_KEYS = {"ensemble": ("branch_max", "branch_add_epochs", "diversity_tap"),
+                "dual_branch": ("lambda", "pool_op")}
 
 # JSON documents use "lambda"; the attribute needs a non-keyword name
 _KEY_TO_ATTR = {"lambda": "lambda_balance"}
@@ -39,10 +43,9 @@ class ExperimentConfig:
     seed: int = 0
     dataset_path: str | None = None
     output_dir: str = "out"
-    diversity_tap: str = "last"  # "last" or "all" attended layers
-    pool_op: str = "mean"  # "mean" or "max" diversity pooling
+    diversity_tap: str = "last"  # ensemble: "last" or "all" attended layers
+    pool_op: str = "mean"  # dual: "mean" or "max" pooling of the patch paths
     normalize_features: bool = False  # unit-norm pooled rows before similarity
-    source: dict = field(default_factory=dict, repr=False)  # raw config echo
 
     def __post_init__(self):
         if self.model_family not in MODEL_FAMILIES:
@@ -88,20 +91,17 @@ class ExperimentConfig:
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         """Parse a JSON document; rejects unknown fields and combinations
         that contradict the model family."""
-        attr_names = {f.name for f in fields(cls)} - {"source"}
-        known_keys = {_ATTR_TO_KEY.get(a, a) for a in attr_names}
+        known_keys = {_ATTR_TO_KEY.get(f.name, f.name) for f in fields(cls)}
         unknown = set(doc) - known_keys
         if unknown:
             raise ConfigError(sorted(unknown)[0], "unknown field")
         if "model_family" not in doc:
             raise ConfigError("model_family", "required")
         family = doc["model_family"]
-        if family == "ensemble" and "lambda" in doc:
-            raise ConfigError("lambda", "only meaningful for model_family dual_branch")
-        if family == "dual_branch":
-            for key in ("branch_max", "branch_add_epochs"):
-                if key in doc:
-                    raise ConfigError(key, "only meaningful for model_family ensemble")
+        for owner, keys in _FAMILY_KEYS.items():
+            for key in keys:
+                if key in doc and family in MODEL_FAMILIES and family != owner:
+                    raise ConfigError(key, f"only meaningful for model_family {owner}")
         kwargs = {}
         for key, value in doc.items():
             attr = _KEY_TO_ATTR.get(key, key)
@@ -111,22 +111,17 @@ class ExperimentConfig:
                 elif not isinstance(value, (int, float)) or isinstance(value, bool):
                     raise ConfigError("gamma", f"must be a number or \"auto\", got {value!r}")
             kwargs[attr] = value
-        cfg = cls(**kwargs)
-        cfg.source = dict(doc)
-        return cfg
+        return cls(**kwargs)
 
     def to_dict(self) -> dict:
         """Echo of the config, defaults filled in; omits keys the model
         family rejects so the echo always re-parses."""
-        if self.model_family == "ensemble":
-            skip = {"lambda_balance"}
-        else:
-            skip = {"branch_max", "branch_add_epochs"}
         out = {}
         for f in fields(type(self)):
-            if f.name == "source" or f.name in skip:
-                continue
             key = _ATTR_TO_KEY.get(f.name, f.name)
+            if any(key in keys for owner, keys in _FAMILY_KEYS.items()
+                   if owner != self.model_family):
+                continue
             value = getattr(self, f.name)
             if f.name == "gamma" and value is None:
                 value = "auto"

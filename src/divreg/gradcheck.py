@@ -18,12 +18,13 @@ import numpy as np
 
 from .autodiff import (Tensor, concat, exp, grad_check, matmul, neg, relu, reshape,
                        sigmoid, tmean, tsum)
+from .config import ExperimentConfig
 from .diversity import (channel_pool, det_gradient, det_t, diversity_of_pooled,
                         similarity_matrix_t, spatial_pool, unit_normalize)
 from .models import build_dual_branch, build_ensemble
 from .nn import (AttentionBlock, ConvLayer, DenseLayer, attention_apply, broadcast_mul,
                  conv2d, global_avg_pool, linear, reduce_max, softmax_cross_entropy)
-from .training import esr_loss, manet_loss
+from .training import _dual_step, _ensemble_step, esr_loss
 
 OP_TOL = 1e-5
 COMPOSITE_TOL = 1e-4
@@ -331,18 +332,15 @@ def _check_combined_loss(rng):
 
 
 def _check_esr_loss(rng):
+    """The ensemble training step's loss at the default config."""
     model = build_ensemble(class_count=3, branch_max=2, attention_enabled=True,
                            seed=7, input_size=8, initial_branches=2)
     x = np.clip(rng.normal(0.4, 0.25, (2, 1, 8, 8)), 0.0, 1.0)
     labels = np.array([0, 2])
+    cfg = ExperimentConfig("ensemble")
 
     def scalar(_t):
-        logits, maps_all = model.forward(Tensor(x))
-        losses = [softmax_cross_entropy(lg, labels) for lg in logits]
-        sp = diversity_of_pooled([m[-1].spatial_map for m in maps_all], "spatial")
-        ch = diversity_of_pooled([m[-1].channel_map for m in maps_all], "channel")
-        total, _ = esr_loss(losses, ch, sp, 1.0)
-        return total
+        return _ensemble_step(model, x, labels, cfg)[0]
 
     branch = model.branches[0]
     return _max_over(
@@ -354,20 +352,15 @@ def _check_esr_loss(rng):
 
 
 def _check_manet_loss(rng):
+    """The dual-branch training step's loss at the default config."""
     model = build_dual_branch(class_count=3, attention_enabled=True, seed=11,
                               input_size=8, lambda_balance=0.6)
     x = np.clip(rng.normal(0.4, 0.25, (2, 1, 8, 8)), 0.0, 1.0)
     labels = np.array([1, 2])
+    cfg = ExperimentConfig("dual_branch")
 
     def scalar(_t):
-        res = model.forward(Tensor(x))
-        l_local = softmax_cross_entropy(res.local_logits, labels)
-        l_global = softmax_cross_entropy(res.global_logits, labels)
-        sp = diversity_of_pooled([spatial_pool(f) for f in res.patch_features], "spatial")
-        ch = diversity_of_pooled([channel_pool(f) for f in res.patch_features], "channel")
-        db = diversity_of_pooled(list(res.branch_pooled), "branch")
-        total, _ = manet_loss(l_local, l_global, db, sp, ch, 0.6, 1.0)
-        return total
+        return _dual_step(model, x, labels, cfg)[0]
 
     return _max_over(
         grad_check(scalar, model.backbone.conv1.weights),

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -192,19 +192,11 @@ def ensemble_predict(logits_list) -> np.ndarray:
     if not logits_list:
         raise ValueError("need at least one branch's logits")
     probs = np.stack([softmax_probs(lg) for lg in logits_list])  # (B,N,K)
-    votes = probs.argmax(axis=2)
-    _, n, k = probs.shape
-    summed = probs.sum(axis=0)
-    out = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        counts = np.bincount(votes[:, i], minlength=k)
-        tied = np.flatnonzero(counts == counts.max())
-        if len(tied) == 1:
-            out[i] = tied[0]
-        else:
-            # argmax returns the first maximum, i.e. the lowest class index
-            out[i] = tied[int(np.argmax(summed[i, tied]))]
-    return out
+    k = probs.shape[2]
+    counts = (probs.argmax(axis=2)[:, :, None] == np.arange(k)).sum(axis=0)  # (N,K)
+    tied = counts == counts.max(axis=1, keepdims=True)
+    # argmax returns the first maximum, i.e. the lowest class index
+    return np.where(tied, probs.sum(axis=0), -np.inf).argmax(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +232,6 @@ class DualForward:
     local_logits: Tensor
     patch_features: list[Tensor]
     branch_pooled: tuple[Tensor, Tensor]  # (local, global) GAP vectors
-    global_attention: AttentionMaps | None = None
-    local_attention: list[AttentionMaps] = field(default_factory=list)
 
 
 class DualBranchModel:
@@ -296,16 +286,14 @@ class DualBranchModel:
         shared = self.backbone.forward(batch)
 
         g = relu(conv2d(shared, self.global_conv))
-        g_maps = None
         if self.global_attn is not None:
-            g, g_maps = attention_apply(g, self.global_attn)
+            g, _ = attention_apply(g, self.global_attn)
 
-        processed, local_maps = [], []
+        processed = []
         for patch, conv, attn in zip(patchify(shared), self.local_convs, self.local_attns):
             h = relu(conv2d(patch, conv))
             if attn is not None:
-                h, m = attention_apply(h, attn)
-                local_maps.append(m)
+                h, _ = attention_apply(h, attn)
             processed.append(h)
         local_map = unpatchify(processed)
 
@@ -316,8 +304,6 @@ class DualBranchModel:
             local_logits=linear(local_vec, self.local_head),
             patch_features=processed,
             branch_pooled=(local_vec, global_vec),
-            global_attention=g_maps,
-            local_attention=local_maps,
         )
 
     def parameters(self) -> list[Tensor]:
@@ -403,24 +389,31 @@ def load_checkpoint(path):
     if len(buf) > expected:
         raise CheckpointFormatError(f"{len(buf) - expected} trailing bytes after parameter data")
 
+    # one branch is built until the shape table matches: a small file allocates no large model
     try:
         if family == FAMILY_ENSEMBLE:
             model = build_ensemble(class_count, branch_max=cap, attention_enabled=attention,
-                                   seed=seed, input_size=input_size, initial_branches=count)
+                                   seed=seed, input_size=input_size)
         else:
             model = build_dual_branch(class_count, attention_enabled=attention, seed=seed,
                                       input_size=input_size, lambda_balance=lam)
     except ValueError as e:
         raise CheckpointFormatError(f"header describes no valid model: {e}") from e
-    params = model.parameters()
-    if param_count != len(params):
+    wanted = [p.data.shape for p in model.parameters()]
+    if family == FAMILY_ENSEMBLE:
+        n_base = len(model.base.parameters())
+        wanted = wanted[:n_base] + wanted[n_base:] * count
+    if param_count != len(wanted):
         raise CheckpointFormatError(
-            f"parameter count mismatch: file has {param_count}, model needs {len(params)}")
-    for i, (p, shape) in enumerate(zip(params, shapes)):
-        if p.data.shape != shape:
+            f"parameter count mismatch: file has {param_count}, model needs {len(wanted)}")
+    for i, (want, shape) in enumerate(zip(wanted, shapes)):
+        if want != shape:
             raise CheckpointFormatError(
-                f"parameter {i} shape mismatch: file says {shape}, model says {p.data.shape}")
-    for p in params:
+                f"parameter {i} shape mismatch: file says {shape}, model says {want}")
+    if family == FAMILY_ENSEMBLE:
+        while len(model.branches) < count:
+            add_branch(model)
+    for p in model.parameters():
         arr = np.frombuffer(buf, dtype="<f8", count=p.data.size, offset=offset)
         p.data = arr.astype(np.float64).reshape(p.data.shape)
         offset += p.data.size * 8

@@ -27,7 +27,8 @@ import numpy as np
 
 from .autodiff import Tensor, backward
 from .data import batches
-from .diversity import DiversityScore, channel_pool, diversity_of_pooled, spatial_pool
+from .diversity import (DiversityScore, auto_gamma, channel_pool, diversity_of_pooled,
+                        spatial_pool)
 from .models import (DualBranchModel, EnsembleModel, add_branch, dual_predict,
                      ensemble_predict)
 from .nn import softmax_cross_entropy
@@ -177,74 +178,87 @@ def _mean_or_none(vals):
     return float(np.mean(vals)) if vals else None
 
 
-def _pooled_score(pooled, dimension, cfg) -> DiversityScore:
-    return diversity_of_pooled(pooled, dimension, gamma=cfg.gamma,
-                               normalize=cfg.normalize_features)
+def _ensemble_learners(model: EnsembleModel, maps_all, cfg) -> dict:
+    """Per diversity term, the branches' attention maps at each tapped
+    layer; no terms without attention."""
+    if not model.attention_enabled:
+        return {}
+    n_layers = len(maps_all[0])
+    layer_ids = [n_layers - 1] if cfg.diversity_tap == "last" else range(n_layers)
+    learners = {}
+    if cfg.diversity_spatial:
+        learners["spatial"] = [[bm[li].spatial_map for bm in maps_all] for li in layer_ids]
+    if cfg.diversity_channel:
+        learners["channel"] = [[bm[li].channel_map for bm in maps_all] for li in layer_ids]
+    return learners
 
 
-def _map_score(maps_all, which, layer_ids, cfg) -> DiversityScore:
-    """Diversity of attention maps across branches, averaged over the
-    tapped layers."""
-    scores = []
-    for li in layer_ids:
-        pooled = [bm[li].spatial_map if which == "spatial" else bm[li].channel_map
-                  for bm in maps_all]
-        scores.append(_pooled_score(pooled, which, cfg))
-    value = float(np.mean([s.value for s in scores]))
+def _dual_learners(res, cfg) -> dict:
+    """Per diversity term, one layer of learners: the four patch paths
+    pooled across channels or across space, and the two branch GAP
+    vectors whenever either patch term is on."""
+    learners = {}
+    if cfg.diversity_spatial:
+        learners["spatial"] = [[spatial_pool(f, op=cfg.pool_op) for f in res.patch_features]]
+    if cfg.diversity_channel:
+        learners["channel"] = [[channel_pool(f, op=cfg.pool_op) for f in res.patch_features]]
+    if learners:
+        learners["branch"] = [list(res.branch_pooled)]
+    return learners
+
+
+def _mean_score(layers, dimension, cfg) -> DiversityScore:
+    """D of each layer's learners, averaged over the layers."""
+    scores = [diversity_of_pooled(pooled, dimension, gamma=cfg.gamma,
+                                  normalize=cfg.normalize_features) for pooled in layers]
     node = scores[0].node
     for s in scores[1:]:
         node = node + s.node
     if len(scores) > 1:
         node = node * Tensor(1.0 / len(scores))
-    return DiversityScore(value=value, dimension=which, node=node)
+    return DiversityScore(value=float(node.data), dimension=dimension, node=node)
 
 
 def _ensemble_step(model: EnsembleModel, xb, yb, cfg):
     logits, maps_all = model.forward(Tensor(xb))
     branch_losses = [softmax_cross_entropy(lg, yb) for lg in logits]
-
-    d_sp = d_ch = None
-    if (cfg.diversity_spatial or cfg.diversity_channel) and model.attention_enabled:
-        n_layers = len(maps_all[0])
-        layer_ids = [n_layers - 1] if cfg.diversity_tap == "last" else list(range(n_layers))
-        if cfg.diversity_spatial:
-            d_sp = _map_score(maps_all, "spatial", layer_ids, cfg)
-        if cfg.diversity_channel:
-            d_ch = _map_score(maps_all, "channel", layer_ids, cfg)
-    return esr_loss(branch_losses, d_ch, d_sp, cfg.diversity_weight)
+    scores = {k: _mean_score(layers, k, cfg)
+              for k, layers in _ensemble_learners(model, maps_all, cfg).items()}
+    return esr_loss(branch_losses, scores.get("channel"), scores.get("spatial"),
+                    cfg.diversity_weight)
 
 
 def _dual_step(model: DualBranchModel, xb, yb, cfg):
     res = model.forward(Tensor(xb))
     l_local = softmax_cross_entropy(res.local_logits, yb)
     l_global = softmax_cross_entropy(res.global_logits, yb)
+    scores = {k: _mean_score(layers, k, cfg) for k, layers in _dual_learners(res, cfg).items()}
+    return manet_loss(l_local, l_global, scores.get("branch"), scores.get("spatial"),
+                      scores.get("channel"), model.lambda_balance, cfg.diversity_weight)
 
-    d_sp = d_ch = d_b = None
-    if cfg.diversity_spatial or cfg.diversity_channel:
-        if cfg.diversity_spatial:
-            pooled = [spatial_pool(f, op=cfg.pool_op) for f in res.patch_features]
-            d_sp = _pooled_score(pooled, "spatial", cfg)
-        if cfg.diversity_channel:
-            pooled = [channel_pool(f, op=cfg.pool_op) for f in res.patch_features]
-            d_ch = _pooled_score(pooled, "channel", cfg)
-        d_b = _pooled_score(list(res.branch_pooled), "branch", cfg)
-    return manet_loss(l_local, l_global, d_b, d_sp, d_ch,
-                      model.lambda_balance, cfg.diversity_weight)
+
+def resolved_gammas(model, images, cfg) -> dict:
+    """The gamma of each similarity matrix a step computes, per term and
+    tapped layer: the configured one, or 1 / pooled length of the
+    learners one forward over `images` gives."""
+    if isinstance(model, EnsembleModel):
+        learners = _ensemble_learners(model, model.forward(Tensor(images))[1], cfg)
+    else:
+        learners = _dual_learners(model.forward(Tensor(images)), cfg)
+    return {k: [cfg.gamma if cfg.gamma is not None else auto_gamma(layer[0].data[0].size)
+                for layer in layers]
+            for k, layers in learners.items()}
 
 
 def _checked_add(model: EnsembleModel, probe_images, epoch: int) -> BranchAddCheck:
-    before = None
-    if probe_images is not None:
-        logits, _ = model.forward(Tensor(probe_images))
-        before = [lg.data.copy() for lg in logits]
+    before = [lg.data for lg in model.forward(Tensor(probe_images))[0]]
     add_branch(model)
+    logits, _ = model.forward(Tensor(probe_images))
     bit_exact, max_diff = True, 0.0
-    if before is not None:
-        logits, _ = model.forward(Tensor(probe_images))
-        for old, new in zip(before, logits):
-            if not np.array_equal(old, new.data):
-                bit_exact = False
-                max_diff = max(max_diff, float(np.max(np.abs(old - new.data))))
+    for old, new in zip(before, logits):
+        if not np.array_equal(old, new.data):
+            bit_exact = False
+            max_diff = max(max_diff, float(np.max(np.abs(old - new.data))))
     return BranchAddCheck(epoch=epoch + 1, branch_count=len(model.branches),
                           bit_exact=bit_exact, max_abs_diff=max_diff)
 
@@ -297,7 +311,7 @@ def evaluate(model, dataset, batch_size: int = 64) -> EvalReport:
                       per_branch=[accuracy(p, labels) for p in branch_preds])
 
 
-def train(model, train_set, test_set, config, probe_images=None) -> TrainResult:
+def train(model, train_set, test_set, config) -> TrainResult:
     """Run the full loop; returns per-epoch records and branch-add checks.
 
     Identical (model, datasets, config) inputs give identical records and
@@ -306,13 +320,11 @@ def train(model, train_set, test_set, config, probe_images=None) -> TrainResult:
     """
     is_ensemble = isinstance(model, EnsembleModel)
     opt = SGD(config.learning_rate, config.momentum)
-    if probe_images is None and len(train_set) > 0:
-        probe_images = train_set.images[:min(8, len(train_set))]
     records, add_checks = [], []
     for epoch in range(config.epochs):
         if (is_ensemble and epoch > 0 and epoch % config.branch_add_epochs == 0
                 and len(model.branches) < model.branch_max):
-            add_checks.append(_checked_add(model, probe_images, epoch))
+            add_checks.append(_checked_add(model, train_set.images[:8], epoch))
         sums = {"total": [], "cls": [], "d_sp": [], "d_ch": [], "d_b": []}
         shuffle_seed = np.random.SeedSequence([config.seed, 17, epoch])
         for b_idx, (xb, yb) in enumerate(batches(train_set, config.batch_size,

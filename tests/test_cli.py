@@ -5,12 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from divreg.autodiff import Tensor
-from divreg.cli import _build_model, _resolved_gammas, main
+from divreg.cli import _build_model, main
 from divreg.config import ExperimentConfig
 from divreg.data import load_dataset
-from divreg.diversity import auto_gamma, channel_pool, spatial_pool
 from divreg.models import load_checkpoint
+from divreg.training import resolved_gammas
 
 GEN = {"class_count": 3, "samples_per_class": 10, "noise_sigma": 0.05,
        "occlusion_prob": 0.3, "occlusion_size": 4, "seed": 0}
@@ -69,7 +68,7 @@ def test_train_outputs(train_out):
     assert summary["config"]["model_family"] == "ensemble"
     assert summary["final"]["epoch"] == 2
     assert summary["branch_add_checks"][0]["bit_exact"] is True
-    assert summary["gamma_resolved"]["channel"] == 1.0 / 32
+    assert summary["gamma_resolved"] == {"spatial": [1.0 / 16], "channel": [1.0 / 32]}
     assert summary["wall_time_s"] > 0
 
     model = load_checkpoint(train_out / "model.dvrg")
@@ -77,29 +76,26 @@ def test_train_outputs(train_out):
     assert len(model.branches) == 2
 
 
-@pytest.mark.parametrize("tap", ["last", "all"])
-@pytest.mark.parametrize("family", ["ensemble", "dual_branch"])
-def test_resolved_gammas_match_pooled_maps(family, tap):
-    cfg = ExperimentConfig.from_dict({"model_family": family, "class_count": 3,
-                                      "diversity_tap": tap})
+# 16px input: the base gives 4x4, ensemble attention maps are 4x4 then
+# 2x2 (32 channels), dual patches are 2x2 (32 channels, 32-wide GAP vectors)
+@pytest.mark.parametrize("doc,expected", [
+    ({"model_family": "ensemble", "diversity_tap": "last"},
+     {"spatial": [1 / 4], "channel": [1 / 32]}),
+    ({"model_family": "ensemble", "diversity_tap": "all"},
+     {"spatial": [1 / 16, 1 / 4], "channel": [1 / 32, 1 / 32]}),
+    ({"model_family": "dual_branch"},
+     {"spatial": [1 / 4], "channel": [1 / 32], "branch": [1 / 32]}),
+    ({"model_family": "ensemble", "diversity_tap": "all", "diversity_channel": False},
+     {"spatial": [1 / 16, 1 / 4]}),
+    ({"model_family": "dual_branch", "diversity_spatial": False, "gamma": 0.3},
+     {"channel": [0.3], "branch": [0.3]}),
+], ids=["ensemble-last", "ensemble-all", "dual_branch", "ensemble-all-channel_off",
+        "dual_branch-gamma-spatial_off"])
+def test_resolved_gammas_match_pooled_maps(doc, expected):
+    cfg = ExperimentConfig.from_dict(dict(doc, class_count=3))
     model = _build_model(cfg, 16)
-    resolved = _resolved_gammas(model, cfg)
-    x = Tensor(np.random.default_rng(0).uniform(size=(2, 1, 16, 16)))
-
-    def gamma(t):  # auto gamma of one learner's pooled (N, ...) batch
-        return auto_gamma(t.data.size // t.data.shape[0])
-
-    if family == "ensemble":
-        _, maps = model.forward(x)
-        tapped = maps[0][-1:] if tap == "last" else maps[0]
-        assert resolved["spatial"] == [gamma(m.spatial_map) for m in tapped]
-        channel = {gamma(m.channel_map) for bm in maps for m in bm}
-    else:
-        res = model.forward(x)
-        assert resolved["spatial"] == list({gamma(spatial_pool(f)) for f in res.patch_features})
-        channel = {gamma(channel_pool(f)) for f in res.patch_features}
-        assert {resolved["branch"]} == {gamma(v) for v in res.branch_pooled}
-    assert {resolved["channel"]} == channel
+    images = np.random.default_rng(0).uniform(size=(1, 1, 16, 16))
+    assert resolved_gammas(model, images, cfg) == expected
 
 
 def test_metrics_rerun_byte_identical(tmp_path, data_dir):
@@ -217,6 +213,17 @@ def test_bad_config_exits_2(tmp_path, capsys):
                                              "epochs": 0})
     assert main(["train", "--config", cfg, "--quiet"]) == 2
     assert "epochs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("family,key,value", [
+    ("ensemble", "pool_op", "max"), ("dual_branch", "diversity_tap", "all")])
+def test_other_family_key_exits_2(tmp_path, data_dir, capsys, family, key, value):
+    doc = {"model_family": family, "class_count": 3, "epochs": 1, "batch_size": 8,
+           "dataset_path": str(data_dir), key: value}
+    cfg = write_json(tmp_path / "train.json", doc)
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    assert f"'{key}': only meaningful for model_family" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_unreadable_config_exits_2(tmp_path, capsys):

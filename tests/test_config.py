@@ -16,7 +16,6 @@ def test_minimal_dict_fills_defaults():
     assert cfg.diversity_tap == "last"
     assert cfg.pool_op == "mean"
     assert cfg.normalize_features is False
-    assert cfg.source == {"model_family": "ensemble"}
 
 
 def test_model_family_required_and_checked():
@@ -45,6 +44,14 @@ def test_family_consistency():
         ExperimentConfig.from_dict({"model_family": "dual_branch", "branch_max": 4})
     with pytest.raises(ConfigError, match="branch_add_epochs"):
         ExperimentConfig.from_dict({"model_family": "dual_branch", "branch_add_epochs": 1})
+    # each family's step reads only its own diversity switch
+    with pytest.raises(ConfigError, match="'pool_op': only meaningful for model_family dual"):
+        ExperimentConfig.from_dict({"model_family": "ensemble", "pool_op": "max"})
+    with pytest.raises(ConfigError, match="'diversity_tap': only meaningful for model_family ens"):
+        ExperimentConfig.from_dict({"model_family": "dual_branch", "diversity_tap": "all"})
+    # an unknown family is named before any key of a family
+    with pytest.raises(ConfigError, match="model_family"):
+        ExperimentConfig.from_dict({"model_family": "transformer", "lambda": 0.5})
 
 
 def test_gamma_auto_and_numbers():
@@ -83,8 +90,9 @@ def test_ensemble_diversity_needs_attention():
     ("pool_op", "sum"),
 ])
 def test_range_validation(field, value):
-    with pytest.raises(ConfigError, match=field):
-        ExperimentConfig.from_dict({"model_family": "ensemble", field: value})
+    family = "dual_branch" if field == "pool_op" else "ensemble"
+    with pytest.raises(ConfigError, match=f"'{field}': must"):
+        ExperimentConfig.from_dict({"model_family": family, field: value})
 
 
 def test_ensemble_only_ranges():
@@ -103,7 +111,7 @@ def test_to_dict_roundtrips_through_from_dict():
     })
     echoed = cfg.to_dict()
     assert echoed["gamma"] == "auto"
-    assert "lambda" not in echoed  # ensemble echo re-parses cleanly
+    assert "lambda" not in echoed and "pool_op" not in echoed  # echo re-parses cleanly
     again = ExperimentConfig.from_dict(echoed)
     for name in ("model_family", "class_count", "epochs", "gamma",
                  "diversity_weight", "dataset_path", "output_dir"):
@@ -113,7 +121,7 @@ def test_to_dict_roundtrips_through_from_dict():
 def test_dual_to_dict_roundtrips():
     cfg = ExperimentConfig.from_dict({"model_family": "dual_branch", "lambda": 0.3})
     echoed = cfg.to_dict()
-    assert "branch_max" not in echoed and "branch_add_epochs" not in echoed
+    assert not {"branch_max", "branch_add_epochs", "diversity_tap"} & set(echoed)
     assert ExperimentConfig.from_dict(echoed).lambda_balance == 0.3
 
 

@@ -133,6 +133,25 @@ def test_ensemble_predict_full_tie_picks_lowest_class():
     np.testing.assert_array_equal(ensemble_predict([l1, l2]), [0])
 
 
+def test_ensemble_predict_matches_per_image_vote():
+    def per_image(logits_list):  # the per-image loop the vectorized count replaced
+        probs = np.stack([softmax_probs(lg) for lg in logits_list])
+        votes, summed = probs.argmax(axis=2), probs.sum(axis=0)
+        out = []
+        for i in range(probs.shape[1]):
+            counts = np.bincount(votes[:, i], minlength=probs.shape[2])
+            tied = np.flatnonzero(counts == counts.max())
+            out.append(tied[int(np.argmax(summed[i, tied]))])
+        return out
+
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        b, k = rng.integers(1, 16), rng.integers(2, 9)
+        # logits on a coarse grid: tied votes and tied summed softmax are common
+        logits = [rng.integers(0, 3, size=(6, k)).astype(np.float64) for _ in range(b)]
+        np.testing.assert_array_equal(ensemble_predict(logits), per_image(logits))
+
+
 def test_softmax_probs_rows_normalized():
     p = softmax_probs(np.array([[1000.0, 0.0], [0.0, 0.0]]))
     np.testing.assert_allclose(p.sum(axis=1), [1.0, 1.0], rtol=1e-15)
@@ -172,8 +191,6 @@ def test_dual_forward_shapes():
     local_vec, global_vec = res.branch_pooled
     assert local_vec.data.shape == (3, 32)
     assert global_vec.data.shape == (3, 32)
-    assert res.global_attention is not None
-    assert len(res.local_attention) == 4
 
 
 def test_dual_validation():
@@ -301,6 +318,27 @@ def test_checkpoint_length_checked_before_building(tmp_path, monkeypatch):
                                  1, 4096, 4096, 4, 32, 4 + 18 * 4096, 0, 0.0))
     with pytest.raises(CheckpointFormatError, match="truncated"):
         load_checkpoint(path)
+
+
+def test_checkpoint_shapes_checked_before_building_branches(tmp_path, monkeypatch):
+    built = []
+    branch_class = models.EnsembleBranch
+
+    def counted(*args, **kwargs):
+        built.append(args[0])
+        return branch_class(*args, **kwargs)
+
+    monkeypatch.setattr(models, "EnsembleBranch", counted)
+    # self-consistent but wrong: 256 attended branches, every entry zero-dimensional
+    entries = 4 + 18 * 256
+    path = tmp_path / "scalars.dvrg"
+    path.write_bytes(struct.pack(models._HEADER_FMT, models.CHECKPOINT_MAGIC,
+                                 models.CHECKPOINT_VERSION, models.FAMILY_ENSEMBLE,
+                                 1, 256, 256, 4, 32, entries, 0, 0.0)
+                     + struct.pack("<I", 0) * entries + bytes(8 * entries))
+    with pytest.raises(CheckpointFormatError, match="parameter 0 shape mismatch"):
+        load_checkpoint(path)
+    assert len(built) <= 1
 
 
 def test_checkpoint_rejects_unknown_model_type(tmp_path):
