@@ -270,11 +270,11 @@ def cmd_ablate(args) -> int:
             fh.flush()
             _say(args.quiet, f"cell {name}: test_acc={final['test_acc']:.4f}")
 
-    def cell_num(v):
-        return "-" if v is None else f"{v:.4f}"
+    def cell_num(v):  # D reaches 1e-97 at 15 learners: fixed point would print 0
+        return "-" if v is None else f"{v:.3e}"
 
     header = (f"{'cell':<18s} {'attn':>5s} {'d_sp':>5s} {'d_ch':>5s} "
-              f"{'test_acc':>9s} {'D_sp':>8s} {'D_ch':>8s}")
+              f"{'test_acc':>9s} {'D_sp':>10s} {'D_ch':>10s}")
     lines = [header, "-" * len(header)]
     for row in rows:
         lines.append(
@@ -282,7 +282,7 @@ def cmd_ablate(args) -> int:
             f"{'on' if row['diversity_spatial'] else 'off':>5s} "
             f"{'on' if row['diversity_channel'] else 'off':>5s} "
             f"{row['final_test_acc']:>9.4f} "
-            f"{cell_num(row['final_d_sp']):>8s} {cell_num(row['final_d_ch']):>8s}")
+            f"{cell_num(row['final_d_sp']):>10s} {cell_num(row['final_d_ch']):>10s}")
     (out / "ablation.txt").write_text("\n".join(lines) + "\n")
     _say(args.quiet, f"ablation table in {csv_path}")
     return 0

@@ -15,7 +15,9 @@ records one tape op for the whole similarity matrix
 the chain differentiable down to raw features. The determinant gradient
 is the explicit cofactor (adjugate-transpose) matrix, which stays
 well-defined at singular matrices — exactly the all-identical-features
-starting point.
+starting point. `lu_det` and the L² minors of the cofactor matrix all go
+through one stacked LU, `_lu_dets`, with the bits of a row-by-row
+elimination of each matrix on its own.
 """
 
 from __future__ import annotations
@@ -84,45 +86,58 @@ def similarity_matrix(pooled, gamma: float | None = None, normalize: bool = Fals
     return s
 
 
+def _lu_dets(stack: np.ndarray) -> np.ndarray:
+    """Determinants of a (B, n, n) stack: LU with partial pivoting, one
+    column step for the whole stack per pass, 0 where a pivot vanishes.
+    Each matrix gets a row-by-row elimination's arithmetic (first largest
+    |pivot|, ``f = a[row, col] / a[col, col]``, ``a[row, col:] -= f *
+    a[col, col:]``, diagonal product left to right; every row reads only
+    the pivot row), so its bits do not depend on the rest of the stack."""
+    a = np.array(stack, dtype=np.float64)
+    count, n = a.shape[0], a.shape[-1]
+    whole = np.arange(count)
+    sign = np.ones(count)
+    # a vanished pivot turns the rows below it into inf/nan; the pivot row
+    # itself is never touched again, so its 0 on the diagonal marks the
+    # matrix for the final 0.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for col in range(n - 1):
+            offset = np.argmax(np.abs(a[:, col:, col]), axis=1)
+            if offset.any():
+                b = whole[offset != 0]
+                p = offset[b] + col
+                a[b, col], a[b, p] = a[b, p], a[b, col]
+                sign[b] = -sign[b]
+            f = a[:, col + 1:, col] / a[:, col, col, None]
+            a[:, col + 1:, col:] -= f[:, :, None] * a[:, col, None, col:]
+        diag = np.diagonal(a, axis1=1, axis2=2)
+        det = sign
+        for i in range(n):
+            det = det * diag[:, i]
+    return np.where((diag != 0.0).all(axis=1), det, 0.0)
+
+
 def lu_det(matrix: np.ndarray) -> float:
     """Determinant by LU with partial pivoting; 0 on a vanishing pivot."""
-    a = np.array(matrix, dtype=np.float64)
+    a = np.asarray(matrix, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeMismatch("lu_det", a.shape)
-    n = a.shape[0]
-    if n == 0:
-        return 1.0
-    sign = 1.0
-    for col in range(n):
-        piv = int(np.argmax(np.abs(a[col:, col]))) + col
-        if a[piv, col] == 0.0:
-            return 0.0
-        if piv != col:
-            a[[col, piv]] = a[[piv, col]]
-            sign = -sign
-        for row in range(col + 1, n):
-            f = a[row, col] / a[col, col]
-            a[row, col:] -= f * a[col, col:]
-    det = sign
-    for i in range(n):
-        det *= a[i, i]
-    return float(det)
+    return float(_lu_dets(a[None])[0])
 
 
 def det_gradient(matrix: np.ndarray) -> np.ndarray:
-    """d det / d entries: the cofactor matrix (adjugate transposed), built
-    from (L-1)×(L-1) minor determinants; finite even at singular input."""
+    """d det / d entries: the cofactor matrix (adjugate transposed). All L²
+    (L-1)×(L-1) minors are gathered into one stack and factored by one
+    `_lu_dets` call; finite even at singular input."""
     a = np.asarray(matrix, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeMismatch("det_gradient", a.shape)
     n = a.shape[0]
-    grad = np.empty((n, n))
-    rows = np.arange(n)
-    for i in range(n):
-        for j in range(n):
-            minor = a[np.ix_(rows != i, rows != j)]
-            grad[i, j] = (-1.0) ** (i + j) * lu_det(minor)
-    return grad
+    m = max(n - 1, 0)
+    keep = np.arange(m) + (np.arange(m) >= np.arange(n)[:, None])  # row i: all but i
+    minors = a[keep[:, None, :, None], keep[None, :, None, :]].reshape(n * n, m, m)
+    signs = (-1.0) ** np.add.outer(np.arange(n), np.arange(n))
+    return signs * _lu_dets(minors).reshape(n, n)
 
 
 # ---------------------------------------------------------------------------

@@ -153,7 +153,8 @@ def test_eval_rejects_mismatched_dataset(tmp_path, train_out, capsys):
 
 
 def test_ablate_grid(tmp_path, data_dir, capsys):
-    doc = dict(TRAIN, dataset_path=str(data_dir), epochs=1, branch_max=1)
+    # two learners at a tiny gamma: S is near all-ones, so D is far below 1e-4
+    doc = dict(TRAIN, dataset_path=str(data_dir), gamma=1e-6)
     cfg = write_json(tmp_path / "ablate.json", doc)
     assert main(["ablate", "--config", cfg, "--out", str(tmp_path / "grid")]) == 0
     lines = (tmp_path / "grid" / "ablation.csv").read_text().splitlines()
@@ -172,6 +173,13 @@ def test_ablate_grid(tmp_path, data_dir, capsys):
     assert both_row[5] != "" and both_row[6] != ""
     table = (tmp_path / "grid" / "ablation.txt").read_text()
     assert "attn_on_both" in table
+    # D in scientific notation, so a tiny D does not print as 0.0000
+    both_line = next(l for l in table.splitlines() if l.startswith("attn_on_both"))
+    printed = [float(v) for v in both_line.split()[-2:]]
+    csv_d = [float(both_row[5]), float(both_row[6])]
+    assert max(csv_d) < 1e-4
+    for shown, value in zip(printed, csv_d):
+        assert shown == float(f"{value:.3e}")
     assert "cell" in capsys.readouterr().out
 
 

@@ -1,5 +1,8 @@
 """Similarity matrix, determinant diversity, and both gradient routes."""
 
+import warnings
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +10,8 @@ from hypothesis import strategies as st
 
 from divreg.autodiff import (ShapeMismatch, Tensor, accumulate, add, backward, exp, mul,
                              neg, reshape, tmean, tsum)
-from divreg.diversity import (auto_gamma, channel_pool, det_gradient, det_t,
+import divreg.diversity as diversity_module
+from divreg.diversity import (_lu_dets, auto_gamma, channel_pool, det_gradient, det_t,
                               diversity_of_pooled, lu_det, measure_diversity,
                               similarity_matrix, similarity_matrix_t, spatial_pool,
                               unit_normalize)
@@ -99,6 +103,144 @@ def test_det_gradient_finite_at_singular():
     g = det_gradient(m)
     assert np.isfinite(g).all()
     np.testing.assert_array_equal(g, [[1.0, -1.0], [-1.0, 1.0]])
+
+
+def scalar_lu_det(matrix):
+    """Reference: one matrix, one row at a time (the pre-stacking loop)."""
+    a = np.array(matrix, dtype=np.float64)
+    n = a.shape[0]
+    if n == 0:
+        return 1.0
+    sign = 1.0
+    for col in range(n):
+        piv = int(np.argmax(np.abs(a[col:, col]))) + col
+        if a[piv, col] == 0.0:
+            return 0.0
+        if piv != col:
+            a[[col, piv]] = a[[piv, col]]
+            sign = -sign
+        for row in range(col + 1, n):
+            f = a[row, col] / a[col, col]
+            a[row, col:] -= f * a[col, col:]
+    det = sign
+    for i in range(n):
+        det *= a[i, i]
+    return float(det)
+
+
+def per_minor_det_gradient(matrix):
+    """Reference: one scalar LU per minor (the pre-stacking cofactors)."""
+    a = np.asarray(matrix, dtype=np.float64)
+    n = a.shape[0]
+    grad = np.empty((n, n))
+    rows = np.arange(n)
+    for i in range(n):
+        for j in range(n):
+            minor = a[np.ix_(rows != i, rows != j)]
+            grad[i, j] = (-1.0) ** (i + j) * scalar_lu_det(minor)
+    return grad
+
+
+def near_duplicate_similarity(rng, learners, spread):
+    """S of learners that are one shared feature set plus small noise."""
+    feats = rng.normal(size=(1, 4, 16)) + spread * rng.normal(size=(learners, 4, 16))
+    return similarity_matrix(list(feats), gamma=1 / 16)
+
+
+def bit_cases(rng, n):
+    m = rng.normal(size=(n, n))
+    yield "random", m
+    dup = rng.normal(size=(n, n))
+    dup[-1] = dup[0]
+    yield "duplicated_row", dup
+    ints = rng.integers(-3, 4, size=(n, n)).astype(float)
+    ints[:, rng.integers(n)] = 0.0
+    yield "integer_zero_column", ints
+    yield "near_duplicate_similarity", near_duplicate_similarity(rng, n, 1e-3)
+
+
+@pytest.mark.parametrize("n", range(1, 16))
+def test_stacked_lu_bits_equal_scalar_reference(n):
+    rng = np.random.default_rng(100 + n)
+    for _ in range(2):
+        for name, m in bit_cases(rng, n):
+            got, want = np.float64(lu_det(m)), np.float64(scalar_lu_det(m))
+            assert got.view(np.int64) == want.view(np.int64), (name, got, want)
+            np.testing.assert_array_equal(det_gradient(m).view(np.int64),
+                                          per_minor_det_gradient(m).view(np.int64),
+                                          err_msg=name)
+
+
+def test_det_backward_is_one_stacked_lu(monkeypatch):
+    calls = {"lu_det": 0, "_lu_dets": 0}
+
+    def counted(name):
+        inner = getattr(diversity_module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(diversity_module, name, counted(name))
+    s = var(near_duplicate_similarity(np.random.default_rng(13), 15, 1e-2))
+    node = diversity_module.det_t(s)
+    assert calls["lu_det"] == 1
+    calls.update(lu_det=0, _lu_dets=0)
+    backward(node)
+    assert calls == {"lu_det": 0, "_lu_dets": 1}
+
+
+def exact_det_and_cofactors(matrix):
+    """det(A) and det(A)·A⁻ᵀ in exact rationals by Gauss-Jordan."""
+    n = len(matrix)
+    a = [[Fraction(float(x)) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(matrix)]
+    det = Fraction(1)
+    for col in range(n):
+        piv = next(r for r in range(col, n) if a[r][col] != 0)
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = -det
+        p = a[col][col]
+        det *= p
+        a[col] = [x / p for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return det, [[float(det * a[j][n + i]) for j in range(n)] for i in range(n)]
+
+
+# worst errors measured on the six matrices below (condition numbers
+# 1.2e7-2.2e7, det about 1e-62); the bounds give a margin of 10x
+MEASURED_COFACTOR_REL = 2.64e-7
+MEASURED_DET_REL = 1.29e-10
+
+
+def test_cofactors_match_exact_rationals_when_ill_conditioned():
+    worst_cof = worst_det = 0.0
+    for seed in range(6):
+        s = near_duplicate_similarity(np.random.default_rng(seed), 12, 1e-3)
+        det, cof = exact_det_and_cofactors(s)
+        cof = np.array(cof)
+        worst_cof = max(worst_cof, np.max(np.abs(det_gradient(s) - cof) / np.abs(cof)))
+        worst_det = max(worst_det, abs(lu_det(s) - float(det)) / abs(float(det)))
+    assert worst_cof <= 10 * MEASURED_COFACTOR_REL
+    assert worst_det <= 10 * MEASURED_DET_REL
+
+
+def test_stacked_lu_singular_stack_warns_nothing():
+    zero_first_column = np.arange(16.0).reshape(4, 4)
+    zero_first_column[:, 0] = 0.0
+    stack = np.stack([np.zeros((4, 4)), np.ones((4, 4)), np.eye(4),
+                      np.diag([1.0, 2.0, 0.0, 3.0]), zero_first_column])
+    with warnings.catch_warnings(), np.errstate(all="warn"):
+        warnings.simplefilter("error")
+        dets = _lu_dets(stack)
+    np.testing.assert_array_equal(dets, [0.0, 0.0, 1.0, 0.0, 0.0])
+    assert not np.signbit(dets).any()
 
 
 def test_spatial_channel_pool_shapes():
