@@ -6,18 +6,17 @@ Every op records the node it creates (op kind, parent links); calling
 and accumulates gradients additively into every reachable tensor that
 requires them.
 
+The ops here are the ones the training steps record, plus ``neg`` for
+writing a negated loss; `divreg gradcheck` checks each of them.
 Broadcasting is deliberately restricted to scalar-with-tensor so that
 shape mistakes fail loudly instead of silently fanning out.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Callable, Sequence
 
 import numpy as np
-
-_node_counter = itertools.count()
 
 
 class ShapeMismatch(ValueError):
@@ -30,7 +29,7 @@ class ShapeMismatch(ValueError):
 
 
 class Tensor:
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_op", "_node_id")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_op")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.array(data, dtype=np.float64)
@@ -39,7 +38,6 @@ class Tensor:
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], None] | None = None
         self._op = "leaf"
-        self._node_id = next(_node_counter)
 
     @classmethod
     def from_op(cls, data: np.ndarray, parents: Sequence["Tensor"], backward, op: str) -> "Tensor":
@@ -57,7 +55,6 @@ class Tensor:
         out._parents = tuple(parents)
         out._backward = backward if out.requires_grad else None
         out._op = op
-        out._node_id = next(_node_counter)
         return out
 
     @property
@@ -75,38 +72,14 @@ class Tensor:
     def __add__(self, other):
         return add(self, _lift(other))
 
-    def __radd__(self, other):
-        return add(_lift(other), self)
-
     def __mul__(self, other):
         return mul(self, _lift(other))
-
-    def __rmul__(self, other):
-        return mul(_lift(other), self)
 
     def __neg__(self):
         return neg(self)
 
-    def __sub__(self, other):
-        return add(self, neg(_lift(other)))
-
-    def __rsub__(self, other):
-        return add(_lift(other), neg(self))
-
-    def __matmul__(self, other):
-        return matmul(self, _lift(other))
-
     def __getitem__(self, key):
         return narrow(self, key)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
 
 
 def _lift(x) -> Tensor:
@@ -138,19 +111,19 @@ def backward(root: Tensor) -> None:
     # iterative postorder; creation order already topological, but we only
     # visit what is reachable and grad-requiring
     topo: list[Tensor] = []
-    visited: set[int] = set()
+    visited: set[Tensor] = set()  # by identity: Tensor defines no __eq__
     stack: list[tuple[Tensor, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
             topo.append(node)
             continue
-        if node._node_id in visited:
+        if node in visited:
             continue
-        visited.add(node._node_id)
+        visited.add(node)
         stack.append((node, True))
         for p in node._parents:
-            if p.requires_grad and p._node_id not in visited:
+            if p.requires_grad and p not in visited:
                 stack.append((p, False))
 
     accumulate(root, np.ones_like(root.data))
@@ -201,15 +174,6 @@ def neg(a: Tensor) -> Tensor:
     return Tensor.from_op(-a.data, (a,), back, "neg")
 
 
-def exp(a: Tensor) -> Tensor:
-    out_data = np.exp(a.data)
-
-    def back(g):
-        accumulate(a, g * out_data)
-
-    return Tensor.from_op(out_data, (a,), back, "exp")
-
-
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0
 
@@ -246,13 +210,6 @@ def _expand_reduced(g: np.ndarray, in_shape, axis, keepdims) -> np.ndarray:
         for ax in sorted(axes):
             g = np.expand_dims(g, ax)
     return np.broadcast_to(g, in_shape)
-
-
-def tsum(a: Tensor, axis=None, keepdims=False) -> Tensor:
-    def back(g):
-        accumulate(a, _expand_reduced(g, a.data.shape, axis, keepdims))
-
-    return Tensor.from_op(np.sum(a.data, axis=axis, keepdims=keepdims), (a,), back, "sum")
 
 
 def tmean(a: Tensor, axis=None, keepdims=False) -> Tensor:
@@ -310,17 +267,6 @@ def narrow(a: Tensor, key) -> Tensor:
         a.grad[key] += g
 
     return Tensor.from_op(out_data.copy(), (a,), back, "slice")
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise ShapeMismatch("matmul", a.data.shape, b.data.shape)
-
-    def back(g):
-        accumulate(a, g @ b.data.T)
-        accumulate(b, a.data.T @ g)
-
-    return Tensor.from_op(a.data @ b.data, (a, b), back, "matmul")
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,27 @@ class ConfigError(ValueError):
         super().__init__(f"config field '{field_name}': {message}")
 
 
+# JSON types each declared field type takes; bool is an int subclass in
+# Python, so it is rejected by name wherever it is not the declared type
+_JSON_TYPES = {"int": ((int,), "an integer"), "float": ((int, float), "a number"),
+               "bool": ((bool,), "true or false"), "str": ((str,), "a string")}
+
+
+def check_field_types(cls, values: dict) -> None:
+    """Raise ConfigError for a value whose JSON type is not its dataclass
+    field's declared type; null is taken only where the default is None."""
+    for f in fields(cls):
+        if f.name not in values:
+            continue
+        value = values[f.name]
+        if value is None and f.default is None:
+            continue
+        base = f.type.split(" | ")[0]  # "str | None" -> "str"
+        accepted, words = _JSON_TYPES[base]
+        if not isinstance(value, accepted) or (isinstance(value, bool) and base != "bool"):
+            raise ConfigError(_ATTR_TO_KEY.get(f.name, f.name), f"must be {words}, got {value!r}")
+
+
 @dataclass
 class ExperimentConfig:
     model_family: str
@@ -102,15 +123,10 @@ class ExperimentConfig:
             for key in keys:
                 if key in doc and family in MODEL_FAMILIES and family != owner:
                     raise ConfigError(key, f"only meaningful for model_family {owner}")
-        kwargs = {}
-        for key, value in doc.items():
-            attr = _KEY_TO_ATTR.get(key, key)
-            if key == "gamma":
-                if value == "auto":
-                    value = None
-                elif not isinstance(value, (int, float)) or isinstance(value, bool):
-                    raise ConfigError("gamma", f"must be a number or \"auto\", got {value!r}")
-            kwargs[attr] = value
+        kwargs = {_KEY_TO_ATTR.get(key, key): value for key, value in doc.items()}
+        if kwargs.get("gamma") == "auto":
+            kwargs["gamma"] = None
+        check_field_types(cls, kwargs)
         return cls(**kwargs)
 
     def to_dict(self) -> dict:

@@ -20,6 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import check_field_types
+
 IMAGE_SIZE = 32
 DATASET_MAGIC = b"DVDS"
 DATASET_VERSION = 1
@@ -63,6 +65,7 @@ class GeneratorConfig:
         unknown = set(doc) - known
         if unknown:
             raise ValueError(f"unknown generator config field {sorted(unknown)[0]!r}")
+        check_field_types(cls, doc)
         return cls(**doc)
 
 

@@ -1,6 +1,7 @@
 """End-to-end harness runs and the exit-status contract."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -214,6 +215,50 @@ def test_gradcheck_corrupt_exits_4(tmp_path, capsys):
     assert "diversity_grad" in capsys.readouterr().err
     doc = json.loads((tmp_path / "gradcheck.json").read_text())
     assert doc["all_passed"] is False
+
+
+def test_gradcheck_unknown_corrupt_name_exits_2(tmp_path, capsys):
+    code = main(["gradcheck", "--out", str(tmp_path), "--quiet", "--corrupt", "exp"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "unknown check 'exp'" in err and "diversity_grad" in err
+    assert not (tmp_path / "gradcheck.json").exists()
+
+
+@pytest.mark.parametrize("base,key,value", [
+    ("ensemble", "epochs", "2"),
+    ("ensemble", "epochs", 2.5),
+    ("ensemble", "epochs", True),
+    ("ensemble", "seed", 1.0),
+    ("ensemble", "batch_size", "8"),
+    ("ensemble", "learning_rate", "0.1"),
+    ("ensemble", "learning_rate", False),
+    ("ensemble", "class_count", 3.0),
+    ("ensemble", "momentum", None),
+    ("ensemble", "gamma", [1.0]),
+    ("ensemble", "output_dir", 5),
+    ("ensemble", "model_family", ["ensemble"]),
+    ("ensemble", "branch_max", 2.5),
+    ("ensemble", "attention_enabled", "no"),
+    ("ensemble", "diversity_spatial", 0),
+    ("ensemble", "normalize_features", "yes"),
+    ("dual_branch", "lambda", "0.5"),
+    ("dual_branch", "pool_op", None),
+    ("gen-data", "class_count", "3"),
+    ("gen-data", "noise_sigma", None),
+])
+def test_wrong_json_type_exits_2(tmp_path, data_dir, capsys, monkeypatch, base, key, value):
+    # run from an empty directory: a config that slipped through would
+    # write its outputs there
+    monkeypatch.chdir(tmp_path)
+    command, doc = ("gen-data", GEN) if base == "gen-data" else ("train", dict(
+        model_family=base, class_count=3, epochs=1, batch_size=8,
+        dataset_path=str(data_dir)))
+    cfg = write_json(tmp_path / "config.json", dict(doc, **{key: value}))
+    assert main([command, "--config", cfg, "--quiet"]) == 2
+    words = "(an integer|a number|true or false|a string)"
+    assert re.search(f"config field '{key}': must be {words}, got", capsys.readouterr().err)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
 def test_bad_config_exits_2(tmp_path, capsys):

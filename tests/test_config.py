@@ -3,6 +3,7 @@
 import pytest
 
 from divreg.config import ConfigError, ExperimentConfig
+from divreg.data import GeneratorConfig
 
 
 def test_minimal_dict_fills_defaults():
@@ -57,6 +58,8 @@ def test_family_consistency():
 def test_gamma_auto_and_numbers():
     assert ExperimentConfig.from_dict({"model_family": "ensemble",
                                        "gamma": "auto"}).gamma is None
+    assert ExperimentConfig.from_dict({"model_family": "ensemble",
+                                       "gamma": None}).gamma is None
     assert ExperimentConfig.from_dict({"model_family": "ensemble",
                                        "gamma": 0.5}).gamma == 0.5
     with pytest.raises(ConfigError, match="gamma"):
@@ -130,3 +133,14 @@ def test_config_error_carries_field():
     assert err.field == "epochs"
     assert "config field 'epochs'" in str(err)
     assert isinstance(err, ValueError)
+
+
+def test_declared_types_accept_json_equivalents():
+    # a float field takes an integer as it is; null only where the default is None
+    cfg = ExperimentConfig.from_dict({"model_family": "ensemble", "learning_rate": 1,
+                                      "diversity_weight": 0, "gamma": 2,
+                                      "dataset_path": None})
+    assert cfg.learning_rate == 1 and type(cfg.learning_rate) is int
+    assert cfg.diversity_weight == 0 and cfg.gamma == 2 and cfg.dataset_path is None
+    gen = GeneratorConfig.from_dict({"noise_sigma": 0, "occlusion_prob": 1})
+    assert gen.noise_sigma == 0 and gen.occlusion_prob == 1

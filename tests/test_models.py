@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from divreg import models
-from divreg.autodiff import Tensor, backward, tsum
+from divreg.autodiff import Tensor, backward
 from divreg.models import (CapacityError, CheckpointFormatError, DualBranchModel,
                            EnsembleModel, _spatial_kernel, add_branch,
                            build_dual_branch, build_ensemble, dual_predict,
                            ensemble_predict, load_checkpoint, patchify,
                            save_checkpoint, softmax_probs, unpatchify)
+from tape_oracle import tsum
 
 
 def rand_images(n, size, seed=0):

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from divreg.autodiff import ShapeMismatch, Tensor, backward, tsum
+from divreg.autodiff import ShapeMismatch, Tensor, backward
 from divreg.nn import (AttentionBlock, ConvLayer, DenseLayer, attention_apply,
                        broadcast_mul, conv2d, global_avg_pool, linear,
                        reduce_max, softmax_cross_entropy)
+from tape_oracle import tsum
 
 
 def var(data):
