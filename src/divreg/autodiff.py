@@ -8,15 +8,33 @@ requires them.
 
 The ops here are the ones the training steps record, plus ``neg`` for
 writing a negated loss; `divreg gradcheck` checks each of them.
+Inference runs inside ``no_grad()``: there every op returns a constant
+with no parent links and no backward closure, so nothing that only the
+backward pass would read (inputs, im2col matrices, masks) outlives it.
 Broadcasting is deliberately restricted to scalar-with-tensor so that
 shape mistakes fail loudly instead of silently fanning out.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Callable, Sequence
 
 import numpy as np
+
+_recording = True
+
+
+@contextmanager
+def no_grad():
+    """Record nothing inside the block (or decorated function): every op
+    result is a constant."""
+    global _recording
+    outer, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = outer
 
 
 class ShapeMismatch(ValueError):
@@ -46,13 +64,14 @@ class Tensor:
         ``backward(g)`` receives the upstream gradient (same shape as
         ``data``) and must accumulate into the parents via ``accumulate``.
         Used by this module's ops and by downstream primitives (conv,
-        attention, determinant) alike.
+        attention, determinant) alike. Inside ``no_grad()`` the result is a
+        constant: no parents, no closure, ``requires_grad`` False.
         """
         out = cls.__new__(cls)
         out.data = data
-        out.requires_grad = any(p.requires_grad for p in parents)
+        out.requires_grad = _recording and any(p.requires_grad for p in parents)
         out.grad = None
-        out._parents = tuple(parents)
+        out._parents = tuple(parents) if _recording else ()
         out._backward = backward if out.requires_grad else None
         out._op = op
         return out

@@ -16,7 +16,8 @@ the same tape route, and logged.
 The ensemble grows on a schedule: at the start of epoch e (0-based), a
 branch is added when e > 0, e is a multiple of the add interval, and the
 cap is not reached. Every add runs a probe forward to confirm existing
-branch outputs are bit-identical before and after.
+branch outputs are bit-identical before and after. Inference (the probe,
+the accuracy passes, `evaluate`) runs under `no_grad` and records no tape.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, backward
+from .autodiff import Tensor, backward, no_grad
 from .data import batches
 from .diversity import (DiversityScore, auto_gamma, channel_pool, diversity_of_pooled,
                         spatial_pool)
@@ -237,6 +238,7 @@ def _dual_step(model: DualBranchModel, xb, yb, cfg):
                       scores.get("channel"), model.lambda_balance, cfg.diversity_weight)
 
 
+@no_grad()
 def resolved_gammas(model, images, cfg) -> dict:
     """The gamma of each similarity matrix a step computes, per term and
     tapped layer: the configured one, or 1 / pooled length of the
@@ -251,9 +253,11 @@ def resolved_gammas(model, images, cfg) -> dict:
 
 
 def _checked_add(model: EnsembleModel, probe_images, epoch: int) -> BranchAddCheck:
-    before = [lg.data for lg in model.forward(Tensor(probe_images))[0]]
+    with no_grad():
+        before = [lg.data for lg in model.forward(Tensor(probe_images))[0]]
     add_branch(model)
-    logits, _ = model.forward(Tensor(probe_images))
+    with no_grad():
+        logits, _ = model.forward(Tensor(probe_images))
     bit_exact, max_diff = True, 0.0
     for old, new in zip(before, logits):
         if not np.array_equal(old, new.data):
@@ -263,6 +267,7 @@ def _checked_add(model: EnsembleModel, probe_images, epoch: int) -> BranchAddChe
                           bit_exact=bit_exact, max_abs_diff=max_diff)
 
 
+@no_grad()
 def _predict(model, dataset, batch_size: int):
     """Combined predictions over the dataset and each branch's own argmax:
     the ensemble's branches, or [local head, global head] of the dual model."""

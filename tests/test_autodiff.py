@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from divreg.autodiff import (ShapeMismatch, Tensor, accumulate, add, backward,
-                             concat, grad_check, mul, narrow, neg, relu, reshape,
+                             concat, grad_check, mul, narrow, neg, no_grad, relu, reshape,
                              sigmoid, tmean)
 from tape_oracle import exp, tsum
 
@@ -163,6 +163,39 @@ def test_constants_stay_gradless():
     backward(tsum(c * x))
     assert c.grad is None
     np.testing.assert_array_equal(x.grad, c.data)
+
+
+def recorded(t):
+    return t.requires_grad and t._parents != () and t._backward is not None
+
+
+def untaped(t):
+    return not t.requires_grad and t._parents == () and t._backward is None
+
+
+def test_no_grad_records_nothing_and_restores_recording():
+    x = var([1.0, -2.0])
+    with no_grad():
+        y = relu(x * x)
+        np.testing.assert_array_equal(y.data, [1.0, 4.0])
+        assert untaped(y)
+        with no_grad():
+            assert untaped(x + x)
+        assert untaped(x + x)  # the inner block's exit keeps the outer one off
+    assert recorded(x + x)
+    with pytest.raises(RuntimeError, match="inside"):
+        with no_grad():
+            raise RuntimeError("inside")
+    assert recorded(x + x)
+
+
+def test_backward_rejects_a_root_built_under_no_grad():
+    x = var([1.0, 2.0])
+    with no_grad():
+        root = tmean(x * x)
+    with pytest.raises(ValueError, match="detached"):
+        backward(root)
+    assert x.grad is None
 
 
 def test_accumulate_sums_into_grad():

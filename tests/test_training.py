@@ -5,12 +5,13 @@ import pytest
 
 from divreg.autodiff import Tensor, backward
 from divreg.config import ExperimentConfig
-from divreg.data import Dataset, GeneratorConfig, generate
+from divreg.data import Dataset, GeneratorConfig, batches, generate
 from divreg.diversity import DiversityScore, channel_pool, measure_diversity, spatial_pool
-from divreg.models import build_dual_branch, build_ensemble
+from divreg.models import (EnsembleModel, build_dual_branch, build_ensemble, dual_predict,
+                           ensemble_predict)
 from divreg.training import (SGD, EpochRecord, LossBreakdown, NonFiniteLossError,
-                             _dual_step, _ensemble_step, esr_loss,
-                             evaluate, manet_loss, predict_dataset, train)
+                             _checked_add, _dual_step, _ensemble_step, esr_loss,
+                             evaluate, manet_loss, predict_dataset, resolved_gammas, train)
 
 
 def score(value, dimension="spatial", with_node=False):
@@ -285,3 +286,76 @@ def test_evaluate_per_class_none_for_absent_class():
     model = build_ensemble(4, branch_max=1, seed=0, input_size=8)
     report = evaluate(model, only_zeros)
     assert report.per_class[1] is None
+
+
+def taped_report(model, dataset, batch_size):
+    """`evaluate`'s numbers from plain taped forwards over the same batches."""
+    preds, branch_preds = [], []
+    for xb, _ in batches(dataset, min(batch_size, len(dataset)), shuffle_seed=None):
+        if isinstance(model, EnsembleModel):
+            logits = model.forward(Tensor(xb))[0]
+            preds.append(ensemble_predict(logits))
+        else:
+            res = model.forward(Tensor(xb))
+            logits = [res.local_logits, res.global_logits]
+            preds.append(dual_predict(res.global_logits, res.local_logits,
+                                      model.lambda_balance))
+        assert all(lg.requires_grad and lg._backward is not None for lg in logits)
+        branch_preds.append([lg.data.argmax(axis=1) for lg in logits])
+    preds = np.concatenate(preds)
+    labels = dataset.labels
+    per_class = [float((preds[labels == k] == k).mean()) if (labels == k).any() else None
+                 for k in range(dataset.class_count)]
+    per_branch = [float((np.concatenate(p) == labels).mean()) for p in zip(*branch_preds)]
+    return float((preds == labels).mean()), per_class, per_branch
+
+
+@pytest.mark.parametrize("family", ["ensemble", "dual_branch"])
+def test_inference_records_no_tape(family, monkeypatch):
+    if family == "ensemble":
+        model = build_ensemble(4, branch_max=3, seed=2, input_size=8, initial_branches=2)
+    else:
+        model = build_dual_branch(4, seed=2, input_size=8)
+    cfg = ExperimentConfig.from_dict({"model_family": family, "class_count": 4,
+                                      **({"diversity_tap": "all"} if family == "ensemble"
+                                         else {})})
+    ds = tiny_dataset(20, seed=5)
+    expected = taped_report(model, ds, batch_size=8)
+
+    taped = []
+    from_op = Tensor.from_op.__func__
+
+    def counting_from_op(cls, data, parents, back, op):
+        out = from_op(cls, data, parents, back, op)
+        if out._parents or out._backward is not None:
+            taped.append(op)
+        return out
+
+    monkeypatch.setattr(Tensor, "from_op", classmethod(counting_from_op))
+    report = evaluate(model, ds, batch_size=8)
+    predict_dataset(model, ds, batch_size=8)
+    resolved_gammas(model, ds.images[:1], cfg)
+    if family == "ensemble":
+        check = _checked_add(model, ds.images[:8], epoch=1)
+        assert check.bit_exact and len(model.branches) == 3
+    assert taped == []
+    # the counter sees a taped forward
+    model.forward(Tensor(ds.images[:2]))
+    assert taped != []
+    assert (report.accuracy, report.per_class, report.per_branch) == expected
+
+
+def test_evaluate_leaves_the_next_step_gradients_bit_identical():
+    model = build_ensemble(4, branch_max=2, seed=3, input_size=8, initial_branches=2)
+    cfg = tiny_config(diversity_weight=1.0)
+    ds = tiny_dataset(16, seed=7)
+    opt = SGD(0.01)
+
+    def step_grads():
+        opt.zero_grad(model.parameters())
+        backward(_ensemble_step(model, ds.images[:8], ds.labels[:8], cfg)[0])
+        return [p.grad.tobytes() for p in model.parameters()]
+
+    plain = step_grads()
+    evaluate(model, ds)
+    assert step_grads() == plain
