@@ -13,6 +13,7 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 from .config import ConfigError, ExperimentConfig
@@ -70,6 +71,13 @@ def _write_metrics(path: Path, records) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def _load_nonempty(path: Path, field_name: str):
+    dataset = load_dataset(path)
+    if len(dataset) == 0:
+        raise ConfigError(field_name, f"{path} holds no samples")
+    return dataset
+
+
 def _load_split(dataset_path):
     p = Path(dataset_path)
     if not p.is_dir():
@@ -79,8 +87,8 @@ def _load_split(dataset_path):
     for name, fp in paths.items():
         if not fp.is_file():
             raise ConfigError("dataset_path", f"missing {fp}")
-    train_set = load_dataset(paths["train"])
-    test_set = load_dataset(paths["test"])
+    train_set = _load_nonempty(paths["train"], "dataset_path")
+    test_set = _load_nonempty(paths["test"], "dataset_path")
     checksums = {f"{name}.dvds": _sha256(fp) for name, fp in paths.items()}
     return train_set, test_set, checksums
 
@@ -156,12 +164,7 @@ def cmd_gen_data(args) -> int:
     save_dataset(test_set, out / "test.dvds")
     manifest = {
         "seed": cfg.seed,
-        "config": {"class_count": cfg.class_count,
-                   "samples_per_class": cfg.samples_per_class,
-                   "noise_sigma": cfg.noise_sigma,
-                   "occlusion_prob": cfg.occlusion_prob,
-                   "occlusion_size": cfg.occlusion_size,
-                   "seed": cfg.seed},
+        "config": asdict(cfg),
         "files": {
             "train.dvds": {"sha256": _sha256(out / "train.dvds"), "samples": len(train_set)},
             "test.dvds": {"sha256": _sha256(out / "test.dvds"), "samples": len(test_set)},
@@ -184,11 +187,11 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model = load_checkpoint(args.checkpoint)
     dpath = Path(args.dataset)
     if dpath.is_dir():
         dpath = dpath / "test.dvds"
-    dataset = load_dataset(dpath)
+    dataset = _load_nonempty(dpath, "dataset")
+    model = load_checkpoint(args.checkpoint)
     if dataset.class_count != model.class_count:
         raise ConfigError("dataset",
                           f"dataset has {dataset.class_count} classes, "
@@ -289,7 +292,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    results = run_suite(corrupt=args.corrupt)
+    results = run_suite()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "gradcheck.json", report_json(results))
@@ -339,7 +342,6 @@ def _parser() -> argparse.ArgumentParser:
     c = sub.add_parser("gradcheck", help="run the finite-difference verification suite")
     c.add_argument("--out", default=".", help="directory for gradcheck.{json,txt}")
     c.add_argument("--quiet", action="store_true")
-    c.add_argument("--corrupt", default=None, help=argparse.SUPPRESS)
     c.set_defaults(fn=cmd_gradcheck)
     return p
 

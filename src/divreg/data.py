@@ -15,7 +15,7 @@ images as float32, both little-endian. Round trips are bit exact.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -60,8 +60,7 @@ class GeneratorConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "GeneratorConfig":
-        known = {"class_count", "samples_per_class", "noise_sigma",
-                 "occlusion_prob", "occlusion_size", "seed"}
+        known = {f.name for f in fields(cls)}
         unknown = set(doc) - known
         if unknown:
             raise ValueError(f"unknown generator config field {sorted(unknown)[0]!r}")

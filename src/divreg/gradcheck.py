@@ -1,14 +1,10 @@
 """Named finite-difference verification suite behind `divreg gradcheck`.
 
-Every op the training steps record, plus `neg`, and the full loss
-compositions are checked against central differences: ops at 1e-5,
-composite losses through tiny end-to-end models at 1e-4. Check inputs
+Every op the training steps record, plus `neg`, and the loss of each
+training step are checked against central differences: ops at 1e-5,
+the two step losses through tiny end-to-end models at 1e-4. Check inputs
 come from per-check seeded streams, chosen with margins away from
 relu/max kinks, so the report is deterministic.
-
-The `corrupt` hook perturbs the named check's computed gradient before
-comparison; it exists so the failure path (exit 4) can be exercised on
-purpose.
 """
 
 from __future__ import annotations
@@ -19,12 +15,12 @@ import numpy as np
 
 from .autodiff import Tensor, concat, grad_check, neg, relu, reshape, sigmoid, tmean
 from .config import ExperimentConfig
-from .diversity import (channel_pool, det_gradient, det_t, diversity_of_pooled,
-                        similarity_matrix_t, spatial_pool, unit_normalize)
+from .diversity import (channel_pool, det_gradient, det_t, similarity_matrix_t, spatial_pool,
+                        unit_normalize)
 from .models import build_dual_branch, build_ensemble
 from .nn import (AttentionBlock, ConvLayer, DenseLayer, attention_apply, broadcast_mul,
                  conv2d, global_avg_pool, linear, reduce_max, softmax_cross_entropy)
-from .training import _dual_step, _ensemble_step, esr_loss
+from .training import _dual_step, _ensemble_step
 
 OP_TOL = 1e-5
 COMPOSITE_TOL = 1e-4
@@ -236,7 +232,7 @@ def _check_det(rng):
     return grad_check(lambda t: det_t(reshape(t, (3, 3)) + base), x)
 
 
-def _check_diversity_grad(rng, corrupt=False):
+def _check_diversity_grad(rng):
     """Cofactor-matrix gradient of lu_det vs finite differences of the
     independent numpy determinant."""
     worst = 0.0
@@ -244,8 +240,6 @@ def _check_diversity_grad(rng, corrupt=False):
         n = 3 + trial % 3
         a = rng.normal(size=(n, n)) + np.eye(n) * 1.5
         computed = det_gradient(a)
-        if corrupt:
-            computed = computed + 0.01
         fd = np.zeros_like(a)
         eps = 1e-6
         for i in range(n):
@@ -262,53 +256,7 @@ def _check_diversity_grad(rng, corrupt=False):
     return worst
 
 
-def _feature_diversity(features):
-    """Spatial and channel D of per-learner (N,C,H,W) features, mean pooled,
-    auto gamma."""
-    sp = [spatial_pool(f) for f in features]
-    ch = [channel_pool(f) for f in features]
-    return diversity_of_pooled(sp, "spatial"), diversity_of_pooled(ch, "channel")
-
-
-def _check_diversity_chain(rng):
-    feats = [_var(rng.normal(size=(2, 2, 4, 4))) for _ in range(2)]
-
-    def scalar(f0, f1):
-        d_sp, d_ch = _feature_diversity([f0, f1])
-        return d_sp.node + d_ch.node
-
-    return _max_over(
-        grad_check(lambda t: scalar(t, feats[1]), feats[0]),
-        grad_check(lambda t: scalar(feats[0], t), feats[1]))
-
-
 # --- composite losses ------------------------------------------------------
-
-def _check_combined_loss(rng):
-    """One classifier's loss minus weighted D_ch + D_sp of two conv
-    features: the single-branch `esr_loss`."""
-    x = np.clip(rng.normal(0.4, 0.25, (2, 1, 6, 6)), 0.0, 1.0)
-    labels = np.array([0, 1])
-    conv_a = ConvLayer(1, 2, 3, stride=1, padding=1, rng=rng)
-    conv_b = ConvLayer(1, 2, 3, stride=1, padding=1, rng=rng)
-    head = DenseLayer(2, 3, rng=rng)
-
-    def scalar(_t):
-        xt = Tensor(x)
-        fa = relu(conv2d(xt, conv_a))
-        fb = relu(conv2d(xt, conv_b))
-        logits = linear(global_avg_pool(fa), head)
-        cls = softmax_cross_entropy(logits, labels)
-        d_sp, d_ch = _feature_diversity([fa, fb])
-        total, _ = esr_loss([cls], d_ch, d_sp, 1.0)
-        return total
-
-    return _max_over(
-        grad_check(scalar, conv_a.weights),
-        grad_check(scalar, conv_b.weights),
-        grad_check(scalar, head.weights),
-        grad_check(scalar, conv_a.bias))
-
 
 def _check_esr_loss(rng):
     """The ensemble training step's loss at the default config."""
@@ -374,28 +322,16 @@ _CHECKS = [
     ("similarity", 22, OP_TOL, _check_similarity),
     ("det", 23, OP_TOL, _check_det),
     ("diversity_grad", 24, OP_TOL, _check_diversity_grad),
-    ("diversity_chain", 25, OP_TOL, _check_diversity_chain),
-    ("combined_loss", 26, COMPOSITE_TOL, _check_combined_loss),
     ("esr_loss", 27, COMPOSITE_TOL, _check_esr_loss),
     ("manet_loss", 28, COMPOSITE_TOL, _check_manet_loss),
 ]
 
 
-def run_suite(corrupt: str | None = None) -> list[CheckResult]:
-    """Run every check with its own seeded stream; `corrupt` names one
-    check whose computed gradient is deliberately perturbed."""
-    names = [name for name, *_ in _CHECKS]
-    if corrupt is not None and corrupt not in names:
-        raise ValueError(f"unknown check {corrupt!r}; checks are: {', '.join(names)}")
+def run_suite() -> list[CheckResult]:
+    """Run every check with its own seeded stream."""
     results = []
     for name, seed, threshold, fn in _CHECKS:
-        rng = _rng(seed)
-        if name == "diversity_grad":
-            err = fn(rng, corrupt=(corrupt == name))
-        else:
-            err = fn(rng)
-            if corrupt == name:
-                err = err + 1.0
+        err = fn(_rng(seed))
         results.append(CheckResult(name=name, max_rel_err=float(err),
                                    threshold=threshold, passed=err < threshold))
     return results

@@ -252,12 +252,11 @@ def resolved_gammas(model, images, cfg) -> dict:
             for k, layers in learners.items()}
 
 
+@no_grad()
 def _checked_add(model: EnsembleModel, probe_images, epoch: int) -> BranchAddCheck:
-    with no_grad():
-        before = [lg.data for lg in model.forward(Tensor(probe_images))[0]]
+    before = [lg.data for lg in model.forward(Tensor(probe_images))[0]]
     add_branch(model)
-    with no_grad():
-        logits, _ = model.forward(Tensor(probe_images))
+    logits, _ = model.forward(Tensor(probe_images))
     bit_exact, max_diff = True, 0.0
     for old, new in zip(before, logits):
         if not np.array_equal(old, new.data):

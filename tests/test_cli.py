@@ -1,16 +1,20 @@
 """End-to-end harness runs and the exit-status contract."""
 
+import argparse
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from divreg.cli import _build_model, main
+from divreg import cli, gradcheck
+from divreg.cli import _build_model, _parser, main
 from divreg.config import ExperimentConfig
 from divreg.data import load_dataset
 from divreg.models import load_checkpoint
 from divreg.training import resolved_gammas
+from tape_oracle import scale_backward
 
 GEN = {"class_count": 3, "samples_per_class": 10, "noise_sigma": 0.05,
        "occlusion_prob": 0.3, "occlusion_size": 4, "seed": 0}
@@ -200,29 +204,33 @@ def test_ablation_off_cell_matches_weight_zero(tmp_path, data_dir):
         assert np.array_equal(pa.data, pb.data)
 
 
-def test_gradcheck_command(tmp_path, capsys):
+def short_suite(monkeypatch, *names):
+    """Point the gradcheck command at the named checks only; the full suite
+    runs in tests/test_gradcheck.py and acceptance criterion 1."""
+    monkeypatch.setattr(gradcheck, "_CHECKS", [c for c in gradcheck._CHECKS if c[0] in names])
+
+
+def test_gradcheck_command(tmp_path, capsys, monkeypatch):
+    short_suite(monkeypatch, "add", "det")
     assert main(["gradcheck", "--out", str(tmp_path), "--quiet"]) == 0
     doc = json.loads((tmp_path / "gradcheck.json").read_text())
     assert doc["all_passed"] is True
+    assert [c["name"] for c in doc["checks"]] == ["add", "det"]
     text = (tmp_path / "gradcheck.txt").read_text()
     assert "all checks passed" in text
 
 
-def test_gradcheck_corrupt_exits_4(tmp_path, capsys):
-    code = main(["gradcheck", "--out", str(tmp_path), "--quiet",
-                 "--corrupt", "diversity_grad"])
+def test_gradcheck_corrupt_exits_4(tmp_path, capsys, monkeypatch):
+    # a real backward, not the check, is broken
+    short_suite(monkeypatch, "add", "relu")
+    scale_backward(monkeypatch, "relu")
+    code = main(["gradcheck", "--out", str(tmp_path), "--quiet"])
     assert code == 4
-    assert "diversity_grad" in capsys.readouterr().err
+    assert capsys.readouterr().err == "gradient check failed: relu\n"
     doc = json.loads((tmp_path / "gradcheck.json").read_text())
     assert doc["all_passed"] is False
-
-
-def test_gradcheck_unknown_corrupt_name_exits_2(tmp_path, capsys):
-    code = main(["gradcheck", "--out", str(tmp_path), "--quiet", "--corrupt", "exp"])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "unknown check 'exp'" in err and "diversity_grad" in err
-    assert not (tmp_path / "gradcheck.json").exists()
+    assert [(c["name"], c["passed"]) for c in doc["checks"]] == [("add", True), ("relu", False)]
+    assert "failing: relu" in (tmp_path / "gradcheck.txt").read_text()
 
 
 @pytest.mark.parametrize("base,key,value", [
@@ -307,6 +315,36 @@ def test_corrupt_dataset_exits_2(tmp_path, data_dir, capsys):
     assert main(["train", "--config", cfg, "--quiet"]) == 2
 
 
+def no_model(*args, **kwargs):
+    raise AssertionError("a model was built")
+
+
+@pytest.fixture
+def empty_test_split(tmp_path):
+    # every 5th sample of a class goes to test, so 4 per class leave it empty
+    cfg = write_json(tmp_path / "gen.json", dict(GEN, samples_per_class=4))
+    assert main(["gen-data", "--config", cfg, "--out", str(tmp_path / "data"), "--quiet"]) == 0
+    assert len(load_dataset(tmp_path / "data" / "test.dvds")) == 0
+    return tmp_path / "data"
+
+
+def test_empty_split_exits_2_before_training(tmp_path, empty_test_split, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_build_model", no_model)
+    cfg = write_json(tmp_path / "train.json", dict(TRAIN, dataset_path=str(empty_test_split)))
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    assert f"{empty_test_split / 'test.dvds'} holds no samples" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_eval_rejects_empty_dataset(tmp_path, empty_test_split, train_out, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "load_checkpoint", no_model)
+    code = main(["eval", "--checkpoint", str(train_out / "model.dvrg"),
+                 "--dataset", str(empty_test_split), "--out", str(tmp_path / "out"), "--quiet"])
+    assert code == 2
+    assert f"{empty_test_split / 'test.dvds'} holds no samples" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_corrupt_checkpoint_exits_2(tmp_path, data_dir, capsys):
     bad = tmp_path / "bad.dvrg"
     bad.write_bytes(b"DVRG" + b"\x00" * 10)
@@ -324,3 +362,19 @@ def test_non_finite_loss_exits_3(tmp_path, data_dir, capsys):
                      "--quiet"])
     assert code == 3
     assert "non-finite" in capsys.readouterr().err
+
+
+def test_readme_cli_section_lists_exactly_the_options():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    parser = _parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    offered = set()
+    for name, command in commands.items():
+        options = {o for a in command._actions if a.help != argparse.SUPPRESS
+                   for o in a.option_strings if o.startswith("--") and o != "--help"}
+        usage = re.search(rf"^divreg {name} +(.*)$", section, re.MULTILINE).group(1)
+        assert set(re.findall(r"--[a-z-]+", usage)) == options, name
+        offered |= options
+    assert set(re.findall(r"--[a-z-]+", section)) <= offered

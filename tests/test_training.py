@@ -338,6 +338,8 @@ def test_inference_records_no_tape(family, monkeypatch):
     if family == "ensemble":
         check = _checked_add(model, ds.images[:8], epoch=1)
         assert check.bit_exact and len(model.branches) == 3
+        # the branch added inside no_grad still trains
+        assert all(p.requires_grad for p in model.branches[-1].parameters())
     assert taped == []
     # the counter sees a taped forward
     model.forward(Tensor(ds.images[:2]))
