@@ -9,8 +9,9 @@ dissimilar.
 
 The plain-array functions (`similarity_matrix`, `lu_det`, `det_gradient`,
 `measure_diversity`) are the test oracle; training uses the tape route
-only: `spatial_pool`/`channel_pool`, then `diversity_of_pooled`, which
-records one tape op for the whole similarity matrix
+only: the ensemble's (L,N,...) attention-map stacks, or the dual model's
+pooled paths (`spatial_pool`/`channel_pool`), go to `diversity_of_pooled`,
+which records one tape op for the whole similarity matrix
 (`similarity_matrix_t`) and one for its determinant (`det_t`), making
 the chain differentiable down to raw features. The determinant gradient
 is the explicit cofactor (adjugate-transpose) matrix, which stays
@@ -23,7 +24,7 @@ elimination of each matrix on its own.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Literal
 
 import numpy as np
 
@@ -175,23 +176,31 @@ def unit_normalize(x: Tensor) -> Tensor:
     return Tensor.from_op(out, (x,), back, "unit_normalize")
 
 
-def similarity_matrix_t(pooled: Sequence[Tensor], gamma: float | None = None,
+def similarity_matrix_t(pooled, gamma: float | None = None,
                         normalize: bool = False) -> Tensor:
-    """Differentiable (L,L) similarity matrix from per-learner (N,...)
-    pooled tensors, recorded as one tape op over all learner pairs.
+    """Differentiable (L,L) similarity matrix of L learners' pooled
+    features, recorded as one tape op over all learner pairs. ``pooled``
+    is the (L,N,...) learner stack or a sequence of L (N,...) tensors.
 
     The backward sums each pair's gradient into its two learners pair by
     pair in row-major order, the order a per-pair composition of tape
     ops would use, so the gradients match it bit for bit. One learner
     gives the constant 1×1 identity.
     """
-    feats = _stack_pooled([t.data for t in pooled])
+    stacked = isinstance(pooled, Tensor)
+    sources = [pooled] if stacked else list(pooled)
+    if not stacked:
+        feats = _stack_pooled([t.data for t in sources])
+    elif pooled.data.ndim < 2:
+        raise ShapeMismatch("similarity_matrix", pooled.data.shape)
+    else:
+        feats = pooled.data.reshape(pooled.data.shape[:2] + (-1,))
     length, n, p = feats.shape
     if gamma is None:
         gamma = auto_gamma(p)
     if normalize:
-        pooled = [unit_normalize(reshape(t, (n, p))) for t in pooled]
-        feats = np.stack([t.data for t in pooled])
+        sources = [unit_normalize(reshape(t, (t.data.size // p, p))) for t in sources]
+        feats = np.concatenate([t.data for t in sources]).reshape(length, n, p)
     rows, cols = np.triu_indices(length, 1)
     diff = feats[rows] - feats[cols]
     kern = np.exp(-gamma * (diff ** 2).sum(axis=2))
@@ -205,10 +214,10 @@ def similarity_matrix_t(pooled: Sequence[Tensor], gamma: float | None = None,
         for d, l, k in zip(dpair, rows, cols):
             dfeat[l] += d
             dfeat[k] -= d
-        for t, d in zip(pooled, dfeat):
+        for t, d in zip(sources, [dfeat] if stacked else dfeat):
             accumulate(t, d.reshape(t.data.shape))
 
-    parents = tuple(pooled) if length > 1 else ()
+    parents = tuple(sources) if length > 1 else ()
     return Tensor.from_op(data, parents, back, "similarity")
 
 
@@ -225,10 +234,10 @@ def det_t(similarity: Tensor) -> Tensor:
     return Tensor.from_op(np.asarray(value), (similarity,), back, "det")
 
 
-def diversity_of_pooled(pooled: Sequence[Tensor], dimension: Dimension,
+def diversity_of_pooled(pooled, dimension: Dimension,
                         gamma: float | None = None, normalize: bool = False) -> DiversityScore:
-    """Diversity of already-pooled per-learner (N,...) tensors, carrying
-    the autodiff node for loss composition."""
+    """Diversity of already-pooled learners, the (L,N,...) stack or L
+    (N,...) tensors, carrying the autodiff node for loss composition."""
     node = det_t(similarity_matrix_t(pooled, gamma=gamma, normalize=normalize))
     return DiversityScore(value=float(node.data), dimension=dimension, node=node)
 

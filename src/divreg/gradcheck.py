@@ -1,10 +1,13 @@
 """Named finite-difference verification suite behind `divreg gradcheck`.
 
 Every op the training steps record, plus `neg`, and the loss of each
-training step are checked against central differences: ops at 1e-5,
-the two step losses through tiny end-to-end models at 1e-4. Check inputs
-come from per-check seeded streams, chosen with margins away from
-relu/max kinks, so the report is deterministic.
+training step are checked against central differences: ops at 1e-5 (the
+layer ops both as one layer and as a group of three learners), the two
+step losses through tiny end-to-end models at 1e-4, once at the default
+config and once with the switches that add ops (every layer tapped, max
+pooling, unit-normalized features). Check inputs come from per-check
+seeded streams, chosen with margins away from relu/max kinks, so the
+report is deterministic.
 """
 
 from __future__ import annotations
@@ -129,20 +132,32 @@ def _check_conv2d(rng):
     x = _var(rng.normal(size=(2, 2, 5, 5)))
     layer = ConvLayer(2, 3, 3, stride=1, padding=1, rng=rng)
     strided = ConvLayer(2, 2, 3, stride=2, padding=0, rng=rng)
+    # three learners on one shared map and on a stack of their own maps
+    group = [ConvLayer(2, 3, 3, stride=2, padding=1, rng=rng) for _ in range(3)]
+    stack = _var(rng.normal(size=(3, 2, 2, 5, 5)))
     return _max_over(
         grad_check(lambda t: _mix(conv2d(t, layer), _rng(122)), x),
         grad_check(lambda t: _mix(conv2d(x, layer), _rng(123)), layer.weights),
         grad_check(lambda t: _mix(conv2d(x, layer), _rng(124)), layer.bias),
-        grad_check(lambda t: _mix(conv2d(x, strided), _rng(125)), strided.weights))
+        grad_check(lambda t: _mix(conv2d(x, strided), _rng(125)), strided.weights),
+        grad_check(lambda t: _mix(conv2d(t, group), _rng(150)), x),
+        grad_check(lambda t: _mix(conv2d(t, group), _rng(151)), stack),
+        grad_check(lambda t: _mix(conv2d(x, group), _rng(152)), group[1].weights),
+        grad_check(lambda t: _mix(conv2d(stack, group), _rng(153)), group[2].bias))
 
 
 def _check_linear(rng):
     x = _var(rng.normal(size=(3, 4)))
     layer = DenseLayer(4, 2, rng=rng)
+    group = [DenseLayer(4, 2, rng=rng) for _ in range(3)]
+    stack = _var(rng.normal(size=(3, 3, 4)))
     return _max_over(
         grad_check(lambda t: _mix(linear(t, layer), _rng(126)), x),
         grad_check(lambda t: _mix(linear(x, layer), _rng(127)), layer.weights),
-        grad_check(lambda t: _mix(linear(x, layer), _rng(128)), layer.bias))
+        grad_check(lambda t: _mix(linear(x, layer), _rng(128)), layer.bias),
+        grad_check(lambda t: _mix(linear(t, group), _rng(154)), stack),
+        grad_check(lambda t: _mix(linear(stack, group), _rng(155)), group[1].weights),
+        grad_check(lambda t: _mix(linear(stack, group), _rng(156)), group[2].bias))
 
 
 def _check_reduce_max(rng):
@@ -178,9 +193,11 @@ def _check_global_avg_pool(rng):
 def _check_attention(rng):
     x = _var(rng.normal(size=(2, 4, 4, 4)) + 0.5)
     block = AttentionBlock(4, reduction=4, spatial_kernel=3, rng=rng)
+    group = [AttentionBlock(4, reduction=4, spatial_kernel=3, rng=rng) for _ in range(3)]
+    stack = _var(rng.normal(size=(3, 2, 4, 4, 4)) + 0.5)
 
-    def scalar(feature):
-        refined, maps = attention_apply(feature, block)
+    def scalar(feature, blocks=block):
+        refined, maps = attention_apply(feature, blocks)
         return (_mix(refined, _rng(136)) + _mix(maps.channel_map, _rng(137))
                 + _mix(maps.spatial_map, _rng(138)))
 
@@ -189,7 +206,10 @@ def _check_attention(rng):
         grad_check(lambda t: scalar(x), block.fc1.weights),
         grad_check(lambda t: scalar(x), block.fc2.weights),
         grad_check(lambda t: scalar(x), block.spatial_conv.weights),
-        grad_check(lambda t: scalar(x), block.fc2.bias))
+        grad_check(lambda t: scalar(x), block.fc2.bias),
+        grad_check(lambda t: scalar(t, group), stack),
+        grad_check(lambda t: scalar(stack, group), group[1].fc1.weights),
+        grad_check(lambda t: scalar(stack, group), group[2].spatial_conv.weights))
 
 
 # --- diversity core --------------------------------------------------------
@@ -258,24 +278,21 @@ def _check_diversity_grad(rng):
 
 # --- composite losses ------------------------------------------------------
 
+def _step_error(step, model, x, labels, cfg, params) -> float:
+    """Worst gradient error of one training step's loss over ``params``."""
+    return _max_over(*(grad_check(lambda _t: step(model, x, labels, cfg)[0], p)
+                       for p in params))
+
+
 def _check_esr_loss(rng):
     """The ensemble training step's loss at the default config."""
     model = build_ensemble(class_count=3, branch_max=2, attention_enabled=True,
                            seed=7, input_size=8, initial_branches=2)
     x = np.clip(rng.normal(0.4, 0.25, (2, 1, 8, 8)), 0.0, 1.0)
-    labels = np.array([0, 2])
-    cfg = ExperimentConfig("ensemble")
-
-    def scalar(_t):
-        return _ensemble_step(model, x, labels, cfg)[0]
-
-    branch = model.branches[0]
-    return _max_over(
-        grad_check(scalar, model.base.conv1.weights),
-        grad_check(scalar, branch.conv1.bias),
-        grad_check(scalar, branch.attn2.fc1.weights),
-        grad_check(scalar, branch.attn2.spatial_conv.weights),
-        grad_check(scalar, branch.head.weights))
+    b = model.branches[0]
+    return _step_error(_ensemble_step, model, x, np.array([0, 2]), ExperimentConfig("ensemble"),
+                       [model.base.conv1.weights, b.conv1.bias, b.attn2.fc1.weights,
+                        b.attn2.spatial_conv.weights, b.head.weights])
 
 
 def _check_manet_loss(rng):
@@ -283,18 +300,35 @@ def _check_manet_loss(rng):
     model = build_dual_branch(class_count=3, attention_enabled=True, seed=11,
                               input_size=8, lambda_balance=0.6)
     x = np.clip(rng.normal(0.4, 0.25, (2, 1, 8, 8)), 0.0, 1.0)
-    labels = np.array([1, 2])
-    cfg = ExperimentConfig("dual_branch")
+    return _step_error(_dual_step, model, x, np.array([1, 2]), ExperimentConfig("dual_branch"),
+                       [model.backbone.conv1.weights, model.global_conv.bias,
+                        model.local_convs[2].bias, model.local_head.weights,
+                        model.global_head.bias])
 
-    def scalar(_t):
-        return _dual_step(model, x, labels, cfg)[0]
 
-    return _max_over(
-        grad_check(scalar, model.backbone.conv1.weights),
-        grad_check(scalar, model.global_conv.bias),
-        grad_check(scalar, model.local_convs[2].bias),
-        grad_check(scalar, model.local_head.weights),
-        grad_check(scalar, model.global_head.bias))
+def _check_esr_loss_switches(rng):
+    """The ensemble step over three branches with every attended layer
+    tapped and unit-normalized features."""
+    model = build_ensemble(class_count=3, branch_max=3, attention_enabled=True,
+                           seed=5, input_size=8, initial_branches=3)
+    x = np.clip(rng.normal(0.4, 0.25, (2, 1, 8, 8)), 0.0, 1.0)
+    cfg = ExperimentConfig("ensemble", diversity_tap="all", normalize_features=True)
+    b0, b1, b2 = model.branches
+    return _step_error(_ensemble_step, model, x, np.array([2, 1]), cfg,
+                       [model.base.conv1.weights, b0.conv1.bias, b1.attn1.fc1.weights,
+                        b2.attn1.spatial_conv.weights, b1.head.weights])
+
+
+def _check_manet_loss_switches(rng):
+    """The dual-branch step with max pooling and unit-normalized features."""
+    model = build_dual_branch(class_count=3, attention_enabled=True, seed=13,
+                              input_size=8, lambda_balance=0.6)
+    x = np.clip(rng.normal(0.4, 0.25, (2, 1, 8, 8)), 0.0, 1.0)
+    cfg = ExperimentConfig("dual_branch", pool_op="max", normalize_features=True)
+    return _step_error(_dual_step, model, x, np.array([0, 1]), cfg,
+                       [model.backbone.conv1.weights, model.local_convs[1].bias,
+                        model.local_attns[3].fc1.weights,
+                        model.global_attn.spatial_conv.weights, model.global_head.weights])
 
 
 # (name, seed, threshold, check): each seed is frozen so that adding or
@@ -324,6 +358,8 @@ _CHECKS = [
     ("diversity_grad", 24, OP_TOL, _check_diversity_grad),
     ("esr_loss", 27, COMPOSITE_TOL, _check_esr_loss),
     ("manet_loss", 28, COMPOSITE_TOL, _check_manet_loss),
+    ("esr_loss_switches", 29, COMPOSITE_TOL, _check_esr_loss_switches),
+    ("manet_loss_switches", 30, COMPOSITE_TOL, _check_manet_loss_switches),
 ]
 
 

@@ -4,6 +4,10 @@ and a dual-branch (local patches + global map) network.
 Both share a two-conv stride-2 base. Ensemble branches are
 conv -> attention -> conv -> attention -> GAP -> dense and are added on a
 schedule by the trainer; adding one never perturbs existing weights.
+Each branch keeps its own layer objects, but the model runs them on one
+learner axis: each layer of all L branches is one grouped op, with
+(L, N, ...) results, and each branch's slice has the bits it would have
+alone, so adding a branch leaves the others' outputs bit-identical.
 The dual-branch model splits the base map into four patches processed by
 parallel conv stacks (local branch) next to a full-map stack (global
 branch), with separate dense heads.
@@ -79,8 +83,9 @@ class SharedBase:
 
 
 class EnsembleBranch:
-    """One classifier head: two conv stages, each optionally followed by
-    attention, then GAP and a dense layer."""
+    """One classifier's layers: two conv stages, each optionally followed
+    by attention, then GAP and a dense layer. `EnsembleModel` runs every
+    branch's layers of a stage together."""
 
     def __init__(self, branch_id: int, in_channels: int, in_size: int,
                  class_count: int, attention: bool, rng):
@@ -96,17 +101,6 @@ class EnsembleBranch:
                                      spatial_kernel=_spatial_kernel(size2), rng=rng)
                       if attention else None)
         self.head = DenseLayer(BRANCH_CHANNELS, class_count, rng=rng, gain="linear")
-
-    def forward(self, x: Tensor) -> tuple[Tensor, list[AttentionMaps]]:
-        maps = []
-        h = x
-        for conv, attn in ((self.conv1, self.attn1), (self.conv2, self.attn2)):
-            h = relu(conv2d(h, conv))
-            if attn is not None:
-                h, m = attention_apply(h, attn)
-                maps.append(m)
-        logits = linear(global_avg_pool(h), self.head)
-        return logits, maps
 
     def parameters(self) -> list[Tensor]:
         out = self.conv1.parameters()
@@ -128,14 +122,29 @@ class EnsembleModel:
     seed: int
     input_size: int
 
+    def stacked_forward(self, batch: Tensor) -> tuple[Tensor, list[AttentionMaps]]:
+        """All L branches on one learner axis: (L, N, K) logits and, per
+        attended layer, the AttentionMaps of (L, N, ...) map stacks. Each
+        layer is one grouped op over the branches' own weights; the first
+        conv reads the shared base map once for all of them."""
+        branches = self.branches
+        h = self.base.forward(batch)
+        maps = []
+        for conv, attn in (("conv1", "attn1"), ("conv2", "attn2")):
+            h = relu(conv2d(h, [getattr(b, conv) for b in branches]))
+            if self.attention_enabled:
+                h, m = attention_apply(h, [getattr(b, attn) for b in branches])
+                maps.append(m)
+        return linear(global_avg_pool(h), [b.head for b in branches]), maps
+
     def forward(self, batch: Tensor) -> tuple[list[Tensor], list[list[AttentionMaps]]]:
-        shared = self.base.forward(batch)
-        logits, maps = [], []
-        for branch in self.branches:
-            lg, mp = branch.forward(shared)
-            logits.append(lg)
-            maps.append(mp)
-        return logits, maps
+        """Per branch: its (N, K) logits and its list of AttentionMaps,
+        taped slices of `stacked_forward`."""
+        logits, maps = self.stacked_forward(batch)
+        learners = range(len(self.branches))
+        return ([logits[i] for i in learners],
+                [[AttentionMaps(m.channel_map[i], m.spatial_map[i]) for m in maps]
+                 for i in learners])
 
     def parameters(self) -> list[Tensor]:
         out = self.base.parameters()
@@ -187,9 +196,10 @@ def build_ensemble(class_count: int, branch_max: int = 3, attention_enabled: boo
 
 
 def ensemble_predict(logits_list) -> np.ndarray:
-    """Majority vote over branch argmaxes; ties broken by the largest
-    summed softmax over the tied classes, then by lowest class index."""
-    if not logits_list:
+    """Majority vote over branch argmaxes of L (N,K) logits (a list, or an
+    (L,N,K) stack); ties broken by the largest summed softmax over the
+    tied classes, then by lowest class index."""
+    if len(logits_list) == 0:
         raise ValueError("need at least one branch's logits")
     probs = np.stack([softmax_probs(lg) for lg in logits_list])  # (B,N,K)
     k = probs.shape[2]

@@ -6,6 +6,15 @@ channel/spatial attention block whose maps feed the diversity machinery.
 Every primitive takes batched input only: (N,C,H,W) feature maps and
 (N,K) logits; any other rank raises ``ShapeMismatch``.
 
+The learner axis: `conv2d`, `linear` and `attention_apply` also take the
+list of L learners' layers (blocks) of one shape and then work on
+(L,N,...) stacks, one grouped op per layer for all learners, splitting
+each weight gradient back into that learner's own tensors. The
+elementwise ops and reductions run on such stacks unchanged, and the
+cross-entropy sums the learners' mean losses. One layer is the group of
+one, without the leading axis. A learner's slice of any result has the
+bits it has when that learner runs alone.
+
 All primitives register custom backwards via ``Tensor.from_op`` and are
 covered by finite-difference checks in the verification suite.
 """
@@ -62,41 +71,82 @@ class ConvLayer:
         return [self.weights, self.bias]
 
 
-def conv2d(x: Tensor, layer: ConvLayer) -> Tensor:
-    """Cross-correlation plus bias for (N,C,H,W) input."""
-    if x.data.ndim != 4:
-        raise ShapeMismatch("conv2d", x.data.shape)
-    n, ci, h, w = x.data.shape
-    if ci != layer.in_channels:
-        raise ShapeMismatch("conv2d", x.data.shape, layer.weights.data.shape)
-    k, s, p = layer.kernel, layer.stride, layer.padding
-    oh, ow = layer.out_size(h, w)
+def _group(layer) -> tuple[list, bool]:
+    """The learners' layers and whether they came as a list: one layer is
+    the group of one, whose results carry no learner axis."""
+    return (layer, True) if isinstance(layer, list) else ([layer], False)
 
-    wt, bt = layer.weights, layer.bias
-    xp = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p)))
-    wd = wt.data
-    # im2col: window view (n,ci,oh,ow,k,k) -> (n*oh*ow, ci*k*k), one dgemm.
+
+def _stacked(arrays) -> np.ndarray:
+    """The learners' arrays on a leading axis; a view for one learner,
+    which spares the copy on every single-layer call."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
+def conv2d(x: Tensor, layer) -> Tensor:
+    """Cross-correlation plus bias.
+
+    ``layer`` is one ConvLayer, for (N,C,H,W) input and output, or a list
+    of L learners' ConvLayers of one shape, for (L,N,O,OH,OW) output from
+    one (N,C,H,W) map they all read (one im2col for all) or from the
+    (L,N,C,H,W) stack of their own maps. A learner's slice has the bits of
+    that learner alone, whatever L is: the batched matmul runs one GEMM
+    per learner, the output keeps the channels-last strides the following
+    reductions read, and a shared input adds the learners' gradients in
+    learner order.
+    """
+    layers, grouped = _group(layer)
+    first = layers[0]
+    shared = x.data.ndim == 4
+    if not shared and not (grouped and x.data.ndim == 5 and x.data.shape[0] == len(layers)):
+        raise ShapeMismatch("conv2d", x.data.shape)
+    n, ci, h, w = x.data.shape[-4:]
+    geometry = (first.weights.data.shape, first.stride, first.padding)
+    if ci != first.in_channels or any(
+            (l.weights.data.shape, l.stride, l.padding) != geometry for l in layers):
+        raise ShapeMismatch("conv2d", x.data.shape, first.weights.data.shape)
+    k, s, p = first.kernel, first.stride, first.padding
+    o, count = first.out_channels, len(layers)
+    oh, ow = first.out_size(h, w)
+
+    # the learners' maps folded into the batch axis: (1 or L)*n images
+    xb = x.data.reshape((-1, ci, h, w))
+    # zero border by assignment: np.pad costs more than the copy itself here
+    xp = np.zeros((len(xb), ci, h + 2 * p, w + 2 * p))
+    xp[:, :, p:p + h, p:p + w] = xb
+    # im2col: window view (b,ci,oh,ow,k,k) -> (1 or L, n*oh*ow, ci*k*k), one
+    # dgemm per learner
     windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
     windows = windows[:, :, ::s, ::s]
-    col = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * oh * ow, ci * k * k)
-    w2 = wd.reshape(layer.out_channels, ci * k * k)
-    out2 = col @ w2.T
-    out = out2.reshape(n, oh, ow, layer.out_channels).transpose(0, 3, 1, 2) \
-        + bt.data[None, :, None, None]
+    col = windows.transpose(0, 2, 3, 1, 4, 5).reshape(-1, n * oh * ow, ci * k * k)
+    w2 = _stacked([l.weights.data for l in layers]).reshape(count, o, ci * k * k)
+    bias = _stacked([l.bias.data for l in layers])
+    out2 = np.matmul(col, w2.transpose(0, 2, 1))
+    out = out2.reshape(count, n, oh, ow, o).transpose(0, 1, 4, 2, 3) \
+        + bias[:, None, :, None, None]
 
     def back(g):
-        accumulate(bt, g.sum(axis=(0, 2, 3)))
-        g2 = g.transpose(0, 2, 3, 1).reshape(n * oh * ow, layer.out_channels)
-        accumulate(wt, (g2.T @ col).reshape(wd.shape))
-        dcol = (g2 @ w2).reshape(n, oh, ow, ci, k, k)
-        dxp = np.zeros_like(xp)
+        gs = g if grouped else g[None]
+        for l, gb in zip(layers, gs.sum(axis=(1, 3, 4))):
+            accumulate(l.bias, gb)
+        g2 = gs.transpose(0, 1, 3, 4, 2).reshape(count, n * oh * ow, o)
+        for l, gw in zip(layers, np.matmul(g2.transpose(0, 2, 1), col)):
+            accumulate(l.weights, gw.reshape(l.weights.data.shape))
+        dcol = np.matmul(g2, w2).reshape(count * n, oh, ow, ci, k, k)
+        dxp = np.zeros((count * n,) + xp.shape[1:])
         for ki in range(k):
             for kj in range(k):
                 dxp[:, :, ki:ki + (oh - 1) * s + 1:s, kj:kj + (ow - 1) * s + 1:s] += \
                     dcol[:, :, :, :, ki, kj].transpose(0, 3, 1, 2)
-        accumulate(x, dxp[:, :, p:p + h, p:p + w] if p else dxp)
+        if shared:
+            parts = dxp.reshape((count, n) + xp.shape[1:])
+            dxp = parts[0]
+            for d in parts[1:]:
+                dxp = dxp + d
+        accumulate(x, (dxp[:, :, p:p + h, p:p + w] if p else dxp).reshape(x.data.shape))
 
-    return Tensor.from_op(out, (x, wt, bt), back, "conv2d")
+    params = tuple(t for l in layers for t in l.parameters())
+    return Tensor.from_op(out if grouped else out[0], (x,) + params, back, "conv2d")
 
 
 class DenseLayer:
@@ -116,17 +166,29 @@ class DenseLayer:
         return [self.weights, self.bias]
 
 
-def linear(x: Tensor, layer: DenseLayer) -> Tensor:
-    wt, bt = layer.weights, layer.bias
-    if x.data.ndim != 2 or x.data.shape[1] != wt.data.shape[0]:
-        raise ShapeMismatch("linear", x.data.shape, wt.data.shape)
+def linear(x: Tensor, layer) -> Tensor:
+    """Affine map of (N, in) rows by one DenseLayer, or of the (L, N, in)
+    stack by a list of L learners' DenseLayers, one batched matmul; each
+    learner's slice has the bits of that learner run alone."""
+    layers, grouped = _group(layer)
+    wshape = layers[0].weights.data.shape
+    xs = x.data if grouped else x.data[None]
+    if (xs.ndim != 3 or xs.shape[0] != len(layers) or xs.shape[2] != wshape[0]
+            or any(l.weights.data.shape != wshape for l in layers)):
+        raise ShapeMismatch("linear", x.data.shape, wshape)
+    w = _stacked([l.weights.data for l in layers])
+    out = np.matmul(xs, w) + _stacked([l.bias.data for l in layers])[:, None, :]
 
     def back(g):
-        accumulate(x, g @ wt.data.T)
-        accumulate(wt, x.data.T @ g)
-        accumulate(bt, g.sum(axis=0))
+        gs = g if grouped else g[None]
+        dx = np.matmul(gs, w.transpose(0, 2, 1))
+        accumulate(x, dx if grouped else dx[0])
+        for l, gw, gb in zip(layers, np.matmul(xs.transpose(0, 2, 1), gs), gs.sum(axis=1)):
+            accumulate(l.weights, gw)
+            accumulate(l.bias, gb)
 
-    return Tensor.from_op(x.data @ wt.data + bt.data[None, :], (x, wt, bt), back, "linear")
+    params = tuple(t for l in layers for t in l.parameters())
+    return Tensor.from_op(out if grouped else out[0], (x,) + params, back, "linear")
 
 
 def reduce_max(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -184,44 +246,51 @@ def broadcast_mul(x: Tensor, m: Tensor) -> Tensor:
 
 
 def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
-    """Mean cross-entropy of (N,K) logits with an (N,) int label array;
-    log-sum-exp stabilized, gradient = softmax - one_hot."""
+    """Mean cross-entropy of (N,K) logits with an (N,) int label array, or
+    of each learner's (N,K) slice of an (L,N,K) stack, the L means summed
+    left to right; log-sum-exp stabilized, gradient = softmax - one_hot."""
     ld = logits.data
-    if ld.ndim != 2:
+    if ld.ndim not in (2, 3):
         raise ShapeMismatch("softmax_cross_entropy", ld.shape)
     lab = np.asarray(labels, dtype=np.int64)
-    n, k = ld.shape
+    ls = ld if ld.ndim == 3 else ld[None]
+    n, k = ls.shape[1:]
     if lab.shape != (n,):
         raise ShapeMismatch("softmax_cross_entropy", ld.shape, lab.shape)
     if lab.min() < 0 or lab.max() >= k:
         raise ValueError(f"softmax_cross_entropy: label out of range for {k} classes")
 
-    z = ld - ld.max(axis=1, keepdims=True)
+    rows = np.arange(n)
+    z = ls - ls.max(axis=2, keepdims=True)
     ez = np.exp(z)
-    se = ez.sum(axis=1)
-    losses = np.log(se) - z[np.arange(n), lab]
-    out = np.asarray(losses.mean())
+    se = ez.sum(axis=2)
+    means = (np.log(se) - z[:, rows, lab]).mean(axis=1)
+    out = means[0]
+    for m in means[1:]:
+        out = out + m
 
     def back(g):
-        p = ez / se[:, None]
-        p[np.arange(n), lab] -= 1.0
+        p = ez / se[:, :, None]
+        p[:, rows, lab] -= 1.0
         p *= float(g) / n
-        accumulate(logits, p)
+        accumulate(logits, p.reshape(ld.shape))
 
-    return Tensor.from_op(out, (logits,), back, "softmax_cross_entropy")
+    return Tensor.from_op(np.asarray(out), (logits,), back, "softmax_cross_entropy")
 
 
 def global_avg_pool(feature: Tensor) -> Tensor:
-    """Per-channel spatial mean: (N,C,H,W) -> (N,C)."""
-    if feature.data.ndim != 4:
+    """Per-channel spatial mean: (N,C,H,W) -> (N,C), or (L,N,C,H,W) ->
+    (L,N,C) for a learner stack."""
+    if feature.data.ndim not in (4, 5):
         raise ShapeMismatch("global_avg_pool", feature.data.shape)
-    return tmean(feature, axis=(2, 3))
+    return tmean(feature, axis=(-2, -1))
 
 
 @dataclass
 class AttentionMaps:
     """Gating maps from one attention block: channel (N,C,1,1) and spatial
-    (N,1,H,W), each sigmoid-bounded in (0,1)."""
+    (N,1,H,W), each sigmoid-bounded in (0,1); with a leading (L,) learner
+    axis when a list of blocks ran."""
     channel_map: Tensor
     spatial_map: Tensor
 
@@ -245,24 +314,33 @@ class AttentionBlock:
         return self.fc1.parameters() + self.fc2.parameters() + self.spatial_conv.parameters()
 
 
-def attention_apply(feature: Tensor, block: AttentionBlock) -> tuple[Tensor, AttentionMaps]:
+def attention_apply(feature: Tensor, block) -> tuple[Tensor, AttentionMaps]:
     """Refine an (N,C,H,W) ``feature`` by channel then spatial gating;
     returns the refined map and both attention maps (the diversity block's
-    inputs)."""
-    if feature.data.ndim != 4 or feature.data.shape[1] != block.channels:
-        raise ShapeMismatch("attention_apply", feature.data.shape)
-    n, c = feature.data.shape[:2]
+    inputs). A list of L learners' blocks refines the (L,N,C,H,W) stack
+    of their maps, each with its own block, in one pass of grouped ops."""
+    blocks, grouped = _group(block)
+    fd = feature.data
+    if (fd.ndim != (5 if grouped else 4) or fd.shape[-3] != blocks[0].channels
+            or (grouped and fd.shape[0] != len(blocks))):
+        raise ShapeMismatch("attention_apply", fd.shape)
+
+    def part(name):
+        layers = [getattr(b, name) for b in blocks]
+        return layers if grouped else layers[0]
+
+    fc1, fc2 = part("fc1"), part("fc2")
 
     def mlp(d):
-        return linear(relu(linear(d, block.fc1)), block.fc2)
+        return linear(relu(linear(d, fc1)), fc2)
 
-    avg_desc = tmean(feature, axis=(2, 3))
-    max_desc = reduce_max(feature, axis=(2, 3))
-    ch_map = reshape(sigmoid(mlp(avg_desc) + mlp(max_desc)), (n, c, 1, 1))
+    avg_desc = tmean(feature, axis=(-2, -1))
+    max_desc = reduce_max(feature, axis=(-2, -1))
+    ch_map = reshape(sigmoid(mlp(avg_desc) + mlp(max_desc)), fd.shape[:-2] + (1, 1))
     xc = broadcast_mul(feature, ch_map)
 
-    sp_stack = concat([tmean(xc, axis=1, keepdims=True),
-                       reduce_max(xc, axis=1, keepdims=True)], axis=1)
-    sp_map = sigmoid(conv2d(sp_stack, block.spatial_conv))
+    sp_stack = concat([tmean(xc, axis=-3, keepdims=True),
+                       reduce_max(xc, axis=-3, keepdims=True)], axis=-3)
+    sp_map = sigmoid(conv2d(sp_stack, part("spatial_conv")))
     refined = broadcast_mul(xc, sp_map)
     return refined, AttentionMaps(channel_map=ch_map, spatial_map=sp_map)

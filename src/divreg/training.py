@@ -6,6 +6,12 @@ diversity scores:
   ensemble: sum_b L_b - w (D_ch + D_sp), diversity over branch attention maps
   dual:     lam L_local + (1-lam) L_global - w (D_b + D_sp + D_ch)
 
+The ensemble step runs all branches on one learner axis
+(`EnsembleModel.stacked_forward`): sum_b L_b is one cross-entropy op over
+the (L, N, K) logits, and each D reads the (L, N, ...) attention-map
+stacks directly, so a step records the same number of tape nodes at any
+branch count.
+
 Subtracting diversity rewards dissimilar learners. Each loss takes
 DiversityScores and returns the scalar loss tensor plus a LossBreakdown
 whose total recomposes from the parts. With weight 0 the diversity terms
@@ -112,14 +118,10 @@ def _penalty_terms(total: Tensor, scores, weight: float) -> Tensor:
     return total + penalty * Tensor(-weight)
 
 
-def esr_loss(branch_losses, d_ch: DiversityScore | None,
+def esr_loss(cls: Tensor, d_ch: DiversityScore | None,
              d_sp: DiversityScore | None, weight: float):
-    """sum_b L_b - weight (D_ch + D_sp) -> (scalar tensor, LossBreakdown)."""
-    if not branch_losses:
-        raise ValueError("need at least one branch loss")
-    cls = branch_losses[0]
-    for l in branch_losses[1:]:
-        cls = cls + l
+    """sum_b L_b - weight (D_ch + D_sp) -> (scalar tensor, LossBreakdown);
+    ``cls`` is the branches' summed classification loss, sum_b L_b."""
     total = _penalty_terms(cls, (d_ch, d_sp), weight)
     bd = LossBreakdown(classification=float(cls.data), d_sp=_score_value(d_sp),
                        d_ch=_score_value(d_ch), d_branch=None, total=float(total.data))
@@ -179,23 +181,23 @@ def _mean_or_none(vals):
     return float(np.mean(vals)) if vals else None
 
 
-def _ensemble_learners(model: EnsembleModel, maps_all, cfg) -> dict:
-    """Per diversity term, the branches' attention maps at each tapped
-    layer; no terms without attention."""
-    if not model.attention_enabled:
+def _ensemble_learners(maps, cfg) -> dict:
+    """Per diversity term, the (L, N, ...) stack of the branches' attention
+    maps at each tapped layer, from `stacked_forward`'s per-layer maps; no
+    terms without attention."""
+    if not maps:
         return {}
-    n_layers = len(maps_all[0])
-    layer_ids = [n_layers - 1] if cfg.diversity_tap == "last" else range(n_layers)
+    tapped = maps[-1:] if cfg.diversity_tap == "last" else maps
     learners = {}
     if cfg.diversity_spatial:
-        learners["spatial"] = [[bm[li].spatial_map for bm in maps_all] for li in layer_ids]
+        learners["spatial"] = [m.spatial_map for m in tapped]
     if cfg.diversity_channel:
-        learners["channel"] = [[bm[li].channel_map for bm in maps_all] for li in layer_ids]
+        learners["channel"] = [m.channel_map for m in tapped]
     return learners
 
 
 def _dual_learners(res, cfg) -> dict:
-    """Per diversity term, one layer of learners: the four patch paths
+    """Per diversity term, one list of learners: the four patch paths
     pooled across channels or across space, and the two branch GAP
     vectors whenever either patch term is on."""
     learners = {}
@@ -221,12 +223,11 @@ def _mean_score(layers, dimension, cfg) -> DiversityScore:
 
 
 def _ensemble_step(model: EnsembleModel, xb, yb, cfg):
-    logits, maps_all = model.forward(Tensor(xb))
-    branch_losses = [softmax_cross_entropy(lg, yb) for lg in logits]
+    logits, maps = model.stacked_forward(Tensor(xb))
     scores = {k: _mean_score(layers, k, cfg)
-              for k, layers in _ensemble_learners(model, maps_all, cfg).items()}
-    return esr_loss(branch_losses, scores.get("channel"), scores.get("spatial"),
-                    cfg.diversity_weight)
+              for k, layers in _ensemble_learners(maps, cfg).items()}
+    return esr_loss(softmax_cross_entropy(logits, yb), scores.get("channel"),
+                    scores.get("spatial"), cfg.diversity_weight)
 
 
 def _dual_step(model: DualBranchModel, xb, yb, cfg):
@@ -244,7 +245,7 @@ def resolved_gammas(model, images, cfg) -> dict:
     tapped layer: the configured one, or 1 / pooled length of the
     learners one forward over `images` gives."""
     if isinstance(model, EnsembleModel):
-        learners = _ensemble_learners(model, model.forward(Tensor(images))[1], cfg)
+        learners = _ensemble_learners(model.stacked_forward(Tensor(images))[1], cfg)
     else:
         learners = _dual_learners(model.forward(Tensor(images)), cfg)
     return {k: [cfg.gamma if cfg.gamma is not None else auto_gamma(layer[0].data[0].size)
@@ -254,14 +255,14 @@ def resolved_gammas(model, images, cfg) -> dict:
 
 @no_grad()
 def _checked_add(model: EnsembleModel, probe_images, epoch: int) -> BranchAddCheck:
-    before = [lg.data for lg in model.forward(Tensor(probe_images))[0]]
+    before = model.stacked_forward(Tensor(probe_images))[0].data
     add_branch(model)
-    logits, _ = model.forward(Tensor(probe_images))
+    after = model.stacked_forward(Tensor(probe_images))[0].data
     bit_exact, max_diff = True, 0.0
-    for old, new in zip(before, logits):
-        if not np.array_equal(old, new.data):
+    for old, new in zip(before, after):
+        if not np.array_equal(old, new):
             bit_exact = False
-            max_diff = max(max_diff, float(np.max(np.abs(old - new.data))))
+            max_diff = max(max_diff, float(np.max(np.abs(old - new))))
     return BranchAddCheck(epoch=epoch + 1, branch_count=len(model.branches),
                           bit_exact=bit_exact, max_abs_diff=max_diff)
 
@@ -275,9 +276,9 @@ def _predict(model, dataset, batch_size: int):
     for xb, _ in batches(dataset, bs, shuffle_seed=None):
         x = Tensor(xb)
         if isinstance(model, EnsembleModel):
-            logits, _ = model.forward(x)
+            logits = model.stacked_forward(x)[0].data
             preds.append(ensemble_predict(logits))
-            branch_preds.append([lg.data.argmax(axis=1) for lg in logits])
+            branch_preds.append(list(logits.argmax(axis=2)))
         else:
             res = model.forward(x)
             preds.append(dual_predict(res.global_logits, res.local_logits,

@@ -30,7 +30,8 @@ def test_suite_names_are_unique_and_cover_core_ops():
                      "concat", "slice", "conv2d", "linear", "reduce_max", "broadcast_mul", "softmax_cross_entropy",
                      "global_avg_pool", "attention", "spatial_pool",
                      "channel_pool", "unit_normalize", "similarity", "det",
-                     "diversity_grad", "esr_loss", "manet_loss"):
+                     "diversity_grad", "esr_loss", "manet_loss", "esr_loss_switches",
+                     "manet_loss_switches"):
         assert expected in names
 
 

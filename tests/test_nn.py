@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from divreg.autodiff import ShapeMismatch, Tensor, backward
+from divreg.autodiff import ShapeMismatch, Tensor, accumulate, backward
 from divreg.nn import (AttentionBlock, ConvLayer, DenseLayer, attention_apply,
                        broadcast_mul, conv2d, global_avg_pool, linear,
                        reduce_max, softmax_cross_entropy)
-from tape_oracle import tsum
+from tape_oracle import learner_attention, learner_conv2d, learner_linear, tsum
 
 
 def var(data):
@@ -257,3 +257,110 @@ def test_attention_gating_is_multiplicative():
                            rng=np.random.default_rng(5))
     refined, _ = attention_apply(Tensor(np.zeros((1, 4, 4, 4))), block)
     np.testing.assert_array_equal(refined.data, np.zeros((1, 4, 4, 4)))
+
+
+# --- the learner axis ------------------------------------------------------
+
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+def _feed(outputs, upstreams):
+    """A scalar root whose backward hands each output a fixed gradient."""
+    def back(_g):
+        for t, u in zip(outputs, upstreams):
+            accumulate(t, u)
+
+    return Tensor.from_op(np.asarray(0.0), tuple(outputs), back, "feed")
+
+
+def _grouped_case(case, learners, rng):
+    """(layers, input data, whether the input is shared, grouped op, oracle op)."""
+    if case.startswith("conv"):
+        layers = [ConvLayer(6, 5, 3, stride=2, padding=1, rng=rng) for _ in range(learners)]
+        shape = (4, 6, 5, 5) if case == "conv_shared" else (learners, 4, 6, 5, 5)
+        return layers, rng.normal(size=shape), case == "conv_shared", \
+            lambda x, ls: [conv2d(x, ls)], lambda x, l: [learner_conv2d(x, l)]
+    if case == "linear":
+        layers = [DenseLayer(7, 3, rng=rng) for _ in range(learners)]
+        return layers, rng.normal(size=(learners, 5, 7)), False, \
+            lambda x, ls: [linear(x, ls)], lambda x, l: [learner_linear(x, l)]
+    layers = [AttentionBlock(8, reduction=4, spatial_kernel=3, rng=rng) for _ in range(learners)]
+
+    def run(op):
+        def apply(x, blocks):
+            refined, maps = op(x, blocks)
+            return [refined, maps.channel_map, maps.spatial_map]
+        return apply
+
+    return layers, rng.normal(size=(learners, 4, 8, 5, 5)) + 0.2, False, \
+        run(attention_apply), run(learner_attention)
+
+
+def _grouped_run(op, layers, data, upstreams):
+    """Outputs, input gradient and every parameter gradient of one run."""
+    params = [p for l in layers for p in l.parameters()]
+    for p in params:
+        p.grad = None
+    x = var(data)
+    outs = op(x, layers)
+    backward(_feed(outs, upstreams))
+    return [o.data for o in outs], x.grad, [p.grad for p in params]
+
+
+@pytest.mark.parametrize("learners", [1, 3, 15])
+@pytest.mark.parametrize("case", ["conv_shared", "conv_stack", "linear", "attention"])
+def test_grouped_op_is_bitwise_per_learner(case, learners):
+    # each learner's slice of the outputs and each of its gradients has the
+    # raw bits of that learner run alone, whatever the number of learners;
+    # a shared input sums the learners' gradients in learner order
+    rng = np.random.default_rng(40 + learners)
+    layers, data, shared, grouped, alone = _grouped_case(case, learners + 1, rng)
+    layers, extra = layers[:learners], layers
+    stack_data = data if shared else data[:learners]
+    outs = grouped(Tensor(stack_data), layers)
+    upstreams = [rng.normal(size=(learners + 1,) + o.data.shape[1:]) for o in outs]
+    got = _grouped_run(grouped, layers, stack_data, [u[:learners] for u in upstreams])
+    more = _grouped_run(grouped, extra, data, upstreams)
+
+    inputs = [var(data)] * learners if shared else [var(data[i]) for i in range(learners)]
+    per_learner = [alone(x, l) for x, l in zip(inputs, layers)]
+    for p in (p for l in layers for p in l.parameters()):
+        p.grad = None
+    backward(_feed([o for outs in per_learner for o in outs],
+                   [u[i] for i in range(learners) for u in upstreams]))
+
+    for i, outs in enumerate(per_learner):
+        for j, o in enumerate(outs):
+            assert _bits(got[0][j][i]) == _bits(o.data)
+            assert _bits(more[0][j][i]) == _bits(o.data)
+        if not shared:
+            assert _bits(got[1][i]) == _bits(inputs[i].grad)
+            assert _bits(more[1][i]) == _bits(inputs[i].grad)
+    if shared:
+        assert _bits(got[1]) == _bits(inputs[0].grad)
+    oracle = [p.grad for l in layers for p in l.parameters()]
+    for a, b, c in zip(got[2], more[2], oracle):
+        assert _bits(a) == _bits(c) and _bits(b) == _bits(c)
+    if learners == 1:  # one layer, no list: the same function without the learner axis
+        single = _grouped_run(lambda x, ls: grouped(x, ls[0]), layers,
+                              data if shared else data[0], [u[0] for u in upstreams])
+        for j, o in enumerate(per_learner[0]):
+            assert _bits(single[0][j]) == _bits(o.data)
+        assert _bits(single[1]) == _bits(inputs[0].grad)
+        for a, c in zip(single[2], oracle):
+            assert _bits(a) == _bits(c)
+
+
+def test_grouped_ops_reject_mismatched_learners():
+    rng = np.random.default_rng(5)
+    convs = [ConvLayer(2, 3, 3, rng=rng), ConvLayer(2, 3, 3, padding=1, rng=rng)]
+    with pytest.raises(ShapeMismatch):
+        conv2d(Tensor(np.zeros((2, 2, 5, 5))), convs)  # one padding differs
+    with pytest.raises(ShapeMismatch):
+        conv2d(Tensor(np.zeros((3, 2, 2, 5, 5))), convs[:1] * 2)  # 3 maps, 2 learners
+    dense = [DenseLayer(4, 2, rng=rng), DenseLayer(4, 3, rng=rng)]
+    with pytest.raises(ShapeMismatch):
+        linear(Tensor(np.zeros((2, 3, 4))), dense)
+    with pytest.raises(ShapeMismatch):
+        attention_apply(Tensor(np.zeros((2, 4, 4, 4))), [AttentionBlock(4, rng=rng)] * 2)

@@ -70,14 +70,11 @@ def test_sgd_validation_and_zero_grad():
 
 def test_esr_loss_frozen():
     # frozen: (1+2+3) - 1*(0.4 + 0.6) = 5.0
-    losses = [Tensor(v) for v in (1.0, 2.0, 3.0)]
-    total, bd = esr_loss(losses, score(0.4, "channel"), score(0.6), 1.0)
+    total, bd = esr_loss(Tensor(6.0), score(0.4, "channel"), score(0.6), 1.0)
     assert float(total.data) == pytest.approx(5.0, abs=1e-15)
     assert bd.classification == 6.0
     assert bd.d_ch == 0.4 and bd.d_sp == 0.6 and bd.d_branch is None
     assert bd.total == float(total.data)
-    with pytest.raises(ValueError):
-        esr_loss([], None, None, 1.0)
 
 
 def test_manet_loss_frozen():
@@ -96,13 +93,13 @@ def test_losses_recompose_from_breakdown():
                            score(0.23), score(0.31, "channel"), 0.6, 0.8)
     recomposed = bd.classification - 0.8 * (bd.d_branch + bd.d_sp + bd.d_ch)
     assert abs(bd.total - recomposed) < 1e-12
-    total2, bd2 = esr_loss([Tensor(1.7)], score(0.11, "channel"), score(0.23), 0.5)
+    total2, bd2 = esr_loss(Tensor(1.7), score(0.11, "channel"), score(0.23), 0.5)
     assert abs(bd2.total - (bd2.classification - 0.5 * (bd2.d_ch + bd2.d_sp))) < 1e-12
 
 
 def test_weight_zero_skips_penalty_graph():
     cls = Tensor(2.0, requires_grad=True)
-    total, bd = esr_loss([cls], score(0.5, "channel", with_node=True),
+    total, bd = esr_loss(cls, score(0.5, "channel", with_node=True),
                          score(0.3, with_node=True), 0.0)
     assert total is cls  # untouched graph, not a rebuilt equal value
     assert bd.d_ch == 0.5 and bd.d_sp == 0.3  # still observed
@@ -139,10 +136,10 @@ def test_weight_zero_logs_the_weighted_scores(family):
 
 
 def test_missing_scores_enter_as_absent():
-    total, bd = esr_loss([Tensor(2.0)], None, score(0.3), 1.0)
+    total, bd = esr_loss(Tensor(2.0), None, score(0.3), 1.0)
     assert float(total.data) == pytest.approx(1.7, abs=1e-15)
     assert bd.d_ch is None
-    total2, bd2 = esr_loss([Tensor(1.0)], None, None, 1.0)
+    total2, bd2 = esr_loss(Tensor(1.0), None, None, 1.0)
     assert float(total2.data) == 1.0
 
 
@@ -151,7 +148,7 @@ def test_penalty_gradient_direction():
     d_sp = score(0.3, with_node=True)
     d_ch = score(0.2, "channel", with_node=True)
     cls = Tensor(1.0, requires_grad=True)
-    total, _ = esr_loss([cls], d_ch, d_sp, 2.0)
+    total, _ = esr_loss(cls, d_ch, d_sp, 2.0)
     backward(total)
     assert float(cls.grad) == 1.0
     assert float(d_sp.node.grad) == -2.0
@@ -361,3 +358,28 @@ def test_evaluate_leaves_the_next_step_gradients_bit_identical():
     plain = step_grads()
     evaluate(model, ds)
     assert step_grads() == plain
+
+
+def test_ensemble_step_tape_does_not_grow_with_branches(monkeypatch):
+    # each layer of all branches is one grouped op, so the nodes one step
+    # records stay flat in L (per-branch ops gave about 5x from L=3 to 15)
+    recorded = []
+    from_op = Tensor.from_op.__func__
+
+    def counting_from_op(cls, data, parents, back, op):
+        out = from_op(cls, data, parents, back, op)
+        if out._parents:
+            recorded.append(op)
+        return out
+
+    monkeypatch.setattr(Tensor, "from_op", classmethod(counting_from_op))
+    data = tiny_dataset(n=12, classes=3)
+    cfg = tiny_config(class_count=3, branch_max=15, diversity_tap="all")
+    counts = {}
+    for branches in (3, 15):
+        model = build_ensemble(3, branch_max=15, seed=0, input_size=8,
+                               initial_branches=branches)
+        recorded.clear()
+        backward(_ensemble_step(model, data.images, data.labels, cfg)[0])
+        counts[branches] = len(recorded)
+    assert counts[15] <= 1.1 * counts[3], counts
