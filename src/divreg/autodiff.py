@@ -273,7 +273,8 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 
 def narrow(a: Tensor, key) -> Tensor:
-    """Basic slicing (ints/slices/tuples); gradient scatters back into place."""
+    """Basic slicing (ints/slices/tuples); gradient scatters back into place.
+    The copy keeps the source's memory order, which fixes reduction order."""
     out_data = a.data[key]
     if not isinstance(out_data, np.ndarray):
         out_data = np.asarray(out_data)
@@ -285,7 +286,7 @@ def narrow(a: Tensor, key) -> Tensor:
             a.grad = np.zeros_like(a.data)
         a.grad[key] += g
 
-    return Tensor.from_op(out_data.copy(), (a,), back, "slice")
+    return Tensor.from_op(out_data.copy(order="K"), (a,), back, "slice")
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ dissimilar.
 The plain-array functions (`similarity_matrix`, `lu_det`, `det_gradient`,
 `measure_diversity`) are the test oracle; training uses the tape route
 only: the ensemble's (L,N,...) attention-map stacks, or the dual model's
-pooled paths (`spatial_pool`/`channel_pool`), go to `diversity_of_pooled`,
+pooled (4,N,...) patch-path stack, go to `diversity_of_pooled`,
 which records one tape op for the whole similarity matrix
 (`similarity_matrix_t`) and one for its determinant (`det_t`), making
 the chain differentiable down to raw features. The determinant gradient
@@ -145,20 +145,20 @@ def det_gradient(matrix: np.ndarray) -> np.ndarray:
 # differentiable route
 
 def _pool(name: str, feature: Tensor, axis, op: PoolOp) -> Tensor:
-    if feature.data.ndim != 4:
+    if feature.data.ndim not in (4, 5):
         raise ShapeMismatch(name, feature.data.shape)
     reduce = reduce_max if op == "max" else tmean
     return reduce(feature, axis=axis, keepdims=True)
 
 
 def spatial_pool(feature: Tensor, op: PoolOp = "mean") -> Tensor:
-    """Across-channel pooling: (N,C,H,W) -> (N,1,H,W)."""
-    return _pool("spatial_pool", feature, 1, op)
+    """Across-channel pooling: (N,C,H,W) -> (N,1,H,W), per learner of a stack."""
+    return _pool("spatial_pool", feature, -3, op)
 
 
 def channel_pool(feature: Tensor, op: PoolOp = "mean") -> Tensor:
-    """Across-space pooling: (N,C,H,W) -> (N,C,1,1)."""
-    return _pool("channel_pool", feature, (2, 3), op)
+    """Across-space pooling: (N,C,H,W) -> (N,C,1,1), per learner of a stack."""
+    return _pool("channel_pool", feature, (-2, -1), op)
 
 
 def unit_normalize(x: Tensor) -> Tensor:

@@ -2,12 +2,12 @@
 
 Every op the training steps record, plus `neg`, and the loss of each
 training step are checked against central differences: ops at 1e-5 (the
-layer ops both as one layer and as a group of three learners), the two
-step losses through tiny end-to-end models at 1e-4, once at the default
-config and once with the switches that add ops (every layer tapped, max
-pooling, unit-normalized features). Check inputs come from per-check
-seeded streams, chosen with margins away from relu/max kinks, so the
-report is deterministic.
+layer ops and the pools both on one input and on a stack of three
+learners), the two step losses through tiny end-to-end models at 1e-4,
+once at the default config and once with the switches that add ops
+(every layer tapped, max pooling, unit-normalized features). Check inputs
+come from per-check seeded streams, chosen with margins away from
+relu/max kinks, so the report is deterministic.
 """
 
 from __future__ import annotations
@@ -214,20 +214,23 @@ def _check_attention(rng):
 
 # --- diversity core --------------------------------------------------------
 
-def _check_spatial_pool(rng):
+def _pool_error(pool, rng, seeds):
+    """`pool` by mean and max (distinct values) on a map, then on 3 learners' maps."""
     x = _var(rng.normal(size=(2, 3, 4, 4)))
     xm = _var(rng.permutation(2 * 3 * 16).astype(np.float64).reshape(2, 3, 4, 4) * 0.1)
-    return _max_over(
-        grad_check(lambda t: _mix(spatial_pool(t), _rng(139)), x),
-        grad_check(lambda t: _mix(spatial_pool(t, op="max"), _rng(140)), xm))
+    stack = _var(rng.normal(size=(3, 2, 3, 4, 4)))
+    stack_m = _var(rng.permutation(3 * 96).astype(np.float64).reshape(3, 2, 3, 4, 4) * 0.1)
+    cases = zip((x, xm, stack, stack_m), ("mean", "max") * 2, seeds)
+    return _max_over(*(grad_check(lambda t: _mix(pool(t, op=op), _rng(seed)), v)
+                       for v, op, seed in cases))
+
+
+def _check_spatial_pool(rng):
+    return _pool_error(spatial_pool, rng, (139, 140, 157, 158))
 
 
 def _check_channel_pool(rng):
-    x = _var(rng.normal(size=(2, 3, 4, 4)))
-    xm = _var(rng.permutation(2 * 3 * 16).astype(np.float64).reshape(2, 3, 4, 4) * 0.1)
-    return _max_over(
-        grad_check(lambda t: _mix(channel_pool(t), _rng(141)), x),
-        grad_check(lambda t: _mix(channel_pool(t, op="max"), _rng(142)), xm))
+    return _pool_error(channel_pool, rng, (141, 142, 159, 160))
 
 
 def _check_unit_normalize(rng):

@@ -8,9 +8,9 @@ Each branch keeps its own layer objects, but the model runs them on one
 learner axis: each layer of all L branches is one grouped op, with
 (L, N, ...) results, and each branch's slice has the bits it would have
 alone, so adding a branch leaves the others' outputs bit-identical.
-The dual-branch model splits the base map into four patches processed by
-parallel conv stacks (local branch) next to a full-map stack (global
-branch), with separate dense heads.
+The dual-branch model stacks the base map's four patches on that learner
+axis, one grouped op per layer for all four paths (local branch), next to
+a full-map stack (global branch), with separate dense heads.
 
 Checkpoints use a small binary format, magic "DVRG": a fixed header
 (version, family, flags, branch counts, class count, input size,
@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import ShapeMismatch, Tensor, relu
+from .autodiff import ShapeMismatch, Tensor, concat, relu, reshape
 from .nn import (AttentionBlock, AttentionMaps, ConvLayer, DenseLayer, attention_apply,
                  conv2d, global_avg_pool, linear)
 
@@ -212,9 +212,10 @@ def ensemble_predict(logits_list) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # dual branch
 
-def patchify(feature: Tensor) -> list[Tensor]:
-    """Split the trailing H×W plane into four equal quadrants, row-major:
-    top-left, top-right, bottom-left, bottom-right."""
+def patchify(feature: Tensor) -> Tensor:
+    """Split the trailing H×W plane into four equal quadrants stacked on a
+    leading learner axis, (4, ..., H/2, W/2), row-major: top-left,
+    top-right, bottom-left, bottom-right."""
     d = feature.data
     if d.ndim < 2:
         raise ShapeMismatch("patchify", d.shape)
@@ -222,26 +223,29 @@ def patchify(feature: Tensor) -> list[Tensor]:
     if h % 2 or w % 2:
         raise ValueError(f"patchify needs even spatial dims, got {h}x{w}")
     h2, w2 = h // 2, w // 2
-    return [feature[..., :h2, :w2], feature[..., :h2, w2:],
-            feature[..., h2:, :w2], feature[..., h2:, w2:]]
+    quads = [feature[..., :h2, :w2], feature[..., :h2, w2:],
+             feature[..., h2:, :w2], feature[..., h2:, w2:]]
+    return reshape(concat(quads, axis=0), (4,) + quads[0].data.shape)
 
 
-def unpatchify(patches) -> Tensor:
-    """Inverse of patchify: reassemble four quadrants into one map."""
-    tl, tr, bl, br = patches
-    ndim = tl.data.ndim
-    from .autodiff import concat
-    top = concat([tl, tr], axis=ndim - 1)
-    bottom = concat([bl, br], axis=ndim - 1)
-    return concat([top, bottom], axis=ndim - 2)
+def unpatchify(stack: Tensor) -> Tensor:
+    """Inverse of patchify: reassemble the (4, ...) quadrant stack into one map."""
+    if stack.data.ndim < 3 or stack.data.shape[0] != 4:
+        raise ShapeMismatch("unpatchify", stack.data.shape)
+    return concat([concat([stack[i], stack[i + 1]], axis=-1) for i in (0, 2)], axis=-2)
 
 
 @dataclass
 class DualForward:
     global_logits: Tensor
     local_logits: Tensor
-    patch_features: list[Tensor]
+    patch_stack: Tensor  # (4, N, C, H/2, W/2): the patch paths' maps
     branch_pooled: tuple[Tensor, Tensor]  # (local, global) GAP vectors
+
+    @property
+    def patch_features(self) -> list[Tensor]:
+        """Each patch path's (N, C, H/2, W/2) map, a taped slice of the stack."""
+        return [self.patch_stack[j] for j in range(4)]
 
 
 class DualBranchModel:
@@ -294,25 +298,20 @@ class DualBranchModel:
 
     def forward(self, batch: Tensor) -> DualForward:
         shared = self.backbone.forward(batch)
+        # local first: inference then holds no global map at the grouped layers' memory peak
+        patches = relu(conv2d(patchify(shared), self.local_convs))
+        if self.attention_enabled:
+            patches, _ = attention_apply(patches, self.local_attns)
+        local_vec = global_avg_pool(unpatchify(patches))
 
         g = relu(conv2d(shared, self.global_conv))
         if self.global_attn is not None:
             g, _ = attention_apply(g, self.global_attn)
-
-        processed = []
-        for patch, conv, attn in zip(patchify(shared), self.local_convs, self.local_attns):
-            h = relu(conv2d(patch, conv))
-            if attn is not None:
-                h, _ = attention_apply(h, attn)
-            processed.append(h)
-        local_map = unpatchify(processed)
-
-        local_vec = global_avg_pool(local_map)
         global_vec = global_avg_pool(g)
         return DualForward(
             global_logits=linear(global_vec, self.global_head),
             local_logits=linear(local_vec, self.local_head),
-            patch_features=processed,
+            patch_stack=patches,
             branch_pooled=(local_vec, global_vec),
         )
 

@@ -7,13 +7,14 @@ Every primitive takes batched input only: (N,C,H,W) feature maps and
 (N,K) logits; any other rank raises ``ShapeMismatch``.
 
 The learner axis: `conv2d`, `linear` and `attention_apply` also take the
-list of L learners' layers (blocks) of one shape and then work on
-(L,N,...) stacks, one grouped op per layer for all learners, splitting
-each weight gradient back into that learner's own tensors. The
-elementwise ops and reductions run on such stacks unchanged, and the
-cross-entropy sums the learners' mean losses. One layer is the group of
-one, without the leading axis. A learner's slice of any result has the
-bits it has when that learner runs alone.
+list of L learners' layers (blocks) of one shape, the ensemble's branches
+or the dual model's four patch paths, and then work on (L,N,...) stacks,
+one grouped op per layer for all learners, splitting each weight
+gradient back into that learner's own tensors. The elementwise ops and
+reductions run on such stacks unchanged, and the cross-entropy sums the
+learners' mean losses. One layer is the group of one, without the
+leading axis. A learner's slice of any result has the bits it has when
+that learner runs alone.
 
 All primitives register custom backwards via ``Tensor.from_op`` and are
 covered by finite-difference checks in the verification suite.

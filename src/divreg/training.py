@@ -10,7 +10,7 @@ The ensemble step runs all branches on one learner axis
 (`EnsembleModel.stacked_forward`): sum_b L_b is one cross-entropy op over
 the (L, N, K) logits, and each D reads the (L, N, ...) attention-map
 stacks directly, so a step records the same number of tape nodes at any
-branch count.
+branch count; the dual step pools its (4, N, ...) patch-path stack once per D.
 
 Subtracting diversity rewards dissimilar learners. Each loss takes
 DiversityScores and returns the scalar loss tensor plus a LossBreakdown
@@ -197,14 +197,14 @@ def _ensemble_learners(maps, cfg) -> dict:
 
 
 def _dual_learners(res, cfg) -> dict:
-    """Per diversity term, one list of learners: the four patch paths
-    pooled across channels or across space, and the two branch GAP
-    vectors whenever either patch term is on."""
+    """Per diversity term, one set of learners: the (4, N, ...) stack of
+    the patch paths pooled across channels or across space, and the two
+    branch GAP vectors whenever either patch term is on."""
     learners = {}
     if cfg.diversity_spatial:
-        learners["spatial"] = [[spatial_pool(f, op=cfg.pool_op) for f in res.patch_features]]
+        learners["spatial"] = [spatial_pool(res.patch_stack, op=cfg.pool_op)]
     if cfg.diversity_channel:
-        learners["channel"] = [[channel_pool(f, op=cfg.pool_op) for f in res.patch_features]]
+        learners["channel"] = [channel_pool(res.patch_stack, op=cfg.pool_op)]
     if learners:
         learners["branch"] = [list(res.branch_pooled)]
     return learners

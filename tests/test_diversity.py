@@ -257,9 +257,24 @@ def test_spatial_channel_pool_shapes():
     assert channel_pool(Tensor(d[:1])).data.shape == (1, 3, 1, 1)
     np.testing.assert_array_equal(sp1.data, d[:1].mean(axis=1, keepdims=True))
     for pool in (spatial_pool, channel_pool):
-        for shape in ((4, 4), (3, 4, 4)):  # batched input only
+        for shape in ((4, 4), (3, 4, 4), (1, 2, 3, 1, 4, 4)):  # a batch or a learner stack
             with pytest.raises(ShapeMismatch):
                 pool(Tensor(np.zeros(shape)))
+
+
+@pytest.mark.parametrize("op", ["mean", "max"])
+def test_pools_of_a_learner_stack_are_each_learners_pool(op):
+    # (L, N, C, H, W) stacks in C order and, like the grouped conv's
+    # output, learner-major with channels last
+    d = np.random.default_rng(8).normal(size=(3, 2, 4, 5, 6))
+    channels_last = d.transpose(0, 1, 4, 2, 3)
+    assert channels_last.strides[2] == 8
+    for stack in (Tensor(np.ascontiguousarray(channels_last)), Tensor(channels_last)):
+        for pool in (spatial_pool, channel_pool):
+            pooled = pool(stack, op=op)
+            for j in range(3):
+                alone = pool(stack[j], op=op)
+                assert pooled.data[j].tobytes() == alone.data.tobytes(), (pool.__name__, j)
 
 
 def test_max_pool_op():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from divreg import models
-from divreg.autodiff import Tensor, backward
+from divreg.autodiff import ShapeMismatch, Tensor, backward
 from divreg.models import (CapacityError, CheckpointFormatError, DualBranchModel,
                            EnsembleModel, _spatial_kernel, add_branch,
                            build_dual_branch, build_ensemble, dual_predict,
@@ -163,11 +163,18 @@ def test_patchify_unpatchify_roundtrip():
     d = np.random.default_rng(4).normal(size=(2, 3, 6, 8))
     t = Tensor(d)
     patches = patchify(t)
-    assert [p.data.shape for p in patches] == [(2, 3, 3, 4)] * 4
-    np.testing.assert_array_equal(patches[0].data, d[:, :, :3, :4])  # top-left
-    np.testing.assert_array_equal(patches[3].data, d[:, :, 3:, 4:])  # bottom-right
+    assert patches.data.shape == (4, 2, 3, 3, 4)
+    np.testing.assert_array_equal(patches.data[0], d[:, :, :3, :4])  # top-left
+    np.testing.assert_array_equal(patches.data[1], d[:, :, :3, 4:])  # top-right
+    np.testing.assert_array_equal(patches.data[3], d[:, :, 3:, 4:])  # bottom-right
     back_ = unpatchify(patches)
     assert np.array_equal(back_.data, d)
+
+
+def test_unpatchify_needs_four_quadrants():
+    for shape in ((3, 2, 3, 3, 4), (5, 2, 3, 3, 4), (4, 3)):
+        with pytest.raises(ShapeMismatch):
+            unpatchify(Tensor(np.zeros(shape)))
 
 
 def test_patchify_rejects_odd_dims():

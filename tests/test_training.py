@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
-from divreg.autodiff import Tensor, backward
+from divreg.autodiff import Tensor, backward, concat, relu
 from divreg.config import ExperimentConfig
 from divreg.data import Dataset, GeneratorConfig, batches, generate
-from divreg.diversity import DiversityScore, channel_pool, measure_diversity, spatial_pool
+from divreg.diversity import (DiversityScore, channel_pool, diversity_of_pooled,
+                              measure_diversity, spatial_pool)
 from divreg.models import (EnsembleModel, build_dual_branch, build_ensemble, dual_predict,
                            ensemble_predict)
+from divreg.nn import (attention_apply, conv2d, global_avg_pool, linear,
+                       softmax_cross_entropy)
 from divreg.training import (SGD, EpochRecord, LossBreakdown, NonFiniteLossError,
                              _checked_add, _dual_step, _ensemble_step, esr_loss,
                              evaluate, manet_loss, predict_dataset, resolved_gammas, train)
@@ -360,9 +363,9 @@ def test_evaluate_leaves_the_next_step_gradients_bit_identical():
     assert step_grads() == plain
 
 
-def test_ensemble_step_tape_does_not_grow_with_branches(monkeypatch):
-    # each layer of all branches is one grouped op, so the nodes one step
-    # records stay flat in L (per-branch ops gave about 5x from L=3 to 15)
+def record_ops(monkeypatch) -> list:
+    """The op kind of each tape node (a result with parents) recorded from
+    now on, in order."""
     recorded = []
     from_op = Tensor.from_op.__func__
 
@@ -373,6 +376,13 @@ def test_ensemble_step_tape_does_not_grow_with_branches(monkeypatch):
         return out
 
     monkeypatch.setattr(Tensor, "from_op", classmethod(counting_from_op))
+    return recorded
+
+
+def test_ensemble_step_tape_does_not_grow_with_branches(monkeypatch):
+    # each layer of all branches is one grouped op, so the nodes one step
+    # records stay flat in L (per-branch ops gave about 5x from L=3 to 15)
+    recorded = record_ops(monkeypatch)
     data = tiny_dataset(n=12, classes=3)
     cfg = tiny_config(class_count=3, branch_max=15, diversity_tap="all")
     counts = {}
@@ -383,3 +393,79 @@ def test_ensemble_step_tape_does_not_grow_with_branches(monkeypatch):
         backward(_ensemble_step(model, data.images, data.labels, cfg)[0])
         counts[branches] = len(recorded)
     assert counts[15] <= 1.1 * counts[3], counts
+
+
+def looped_dual_step(model, xb, yb, cfg):
+    """`_dual_step` with the dual forward as a loop over the four patch
+    paths, each a group of one, reassembled by concat: the bit-exact
+    oracle for the grouped patch paths. Returns (loss, paths, local_vec,
+    local_logits, global_logits)."""
+    shared = model.backbone.forward(Tensor(xb))
+    g = relu(conv2d(shared, model.global_conv))
+    if model.global_attn is not None:
+        g, _ = attention_apply(g, model.global_attn)
+    h2, w2 = shared.data.shape[2] // 2, shared.data.shape[3] // 2
+    quads = [shared[..., :h2, :w2], shared[..., :h2, w2:],
+             shared[..., h2:, :w2], shared[..., h2:, w2:]]
+    paths = []
+    for patch, conv, attn in zip(quads, model.local_convs, model.local_attns):
+        p = relu(conv2d(patch, conv))
+        if attn is not None:
+            p, _ = attention_apply(p, attn)
+        paths.append(p)
+    local_map = concat([concat(paths[:2], axis=3), concat(paths[2:], axis=3)], axis=2)
+    local_vec, global_vec = global_avg_pool(local_map), global_avg_pool(g)
+    local_logits = linear(local_vec, model.local_head)
+    global_logits = linear(global_vec, model.global_head)
+
+    learners = {"spatial": [spatial_pool(p, op=cfg.pool_op) for p in paths],
+                "channel": [channel_pool(p, op=cfg.pool_op) for p in paths],
+                "branch": [local_vec, global_vec]}
+    scores = {k: diversity_of_pooled(v, k, gamma=cfg.gamma, normalize=cfg.normalize_features)
+              for k, v in learners.items()}
+    loss, _ = manet_loss(softmax_cross_entropy(local_logits, yb),
+                         softmax_cross_entropy(global_logits, yb), scores["branch"],
+                         scores["spatial"], scores["channel"], model.lambda_balance,
+                         cfg.diversity_weight)
+    return loss, paths, local_vec, local_logits, global_logits
+
+
+@pytest.mark.parametrize("attention", [True, False])
+@pytest.mark.parametrize("pool_op", ["mean", "max"])
+def test_dual_patch_paths_bitwise_equal_the_per_path_loop(attention, pool_op):
+    model = build_dual_branch(4, attention_enabled=attention, seed=7301, input_size=32)
+    data = tiny_dataset(n=6, size=32, seed=7301)
+    cfg = ExperimentConfig(model_family="dual_branch", class_count=4, pool_op=pool_op,
+                           attention_enabled=attention)
+    params = model.parameters()
+
+    def step_bits(step):
+        for p in params:
+            p.grad = None
+        loss = step(model, data.images, data.labels, cfg)[0]
+        backward(loss)
+        return loss.data.tobytes(), [p.grad.tobytes() for p in params]
+
+    res = model.forward(Tensor(data.images))
+    _, paths, local_vec, local_logits, global_logits = looped_dual_step(
+        model, data.images, data.labels, cfg)
+    for j, path in enumerate(paths):
+        assert res.patch_stack.data[j].tobytes() == path.data.tobytes(), j
+        assert res.patch_features[j].data.tobytes() == path.data.tobytes(), j
+    assert res.branch_pooled[0].data.tobytes() == local_vec.data.tobytes()
+    assert res.local_logits.data.tobytes() == local_logits.data.tobytes()
+    assert res.global_logits.data.tobytes() == global_logits.data.tobytes()
+    assert step_bits(_dual_step) == step_bits(lambda *a: looped_dual_step(*a)[:1])
+
+
+def test_dual_step_tape_size(monkeypatch):
+    # the four patch paths run as one grouped conv and attention call: one
+    # step records 6 convs (base 2, global and local 1 each, and one
+    # spatial conv per attention call), not 12
+    recorded = record_ops(monkeypatch)
+    model = build_dual_branch(4, seed=0, input_size=32)
+    data = tiny_dataset(n=4, size=32)
+    backward(_dual_step(model, data.images, data.labels,
+                        ExperimentConfig(model_family="dual_branch", class_count=4))[0])
+    assert recorded.count("conv2d") == 6
+    assert len(recorded) == 78  # 138 with a conv2d and attention_apply call per path
