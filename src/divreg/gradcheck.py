@@ -281,57 +281,25 @@ def _check_diversity_grad(rng):
 
 # --- composite losses ------------------------------------------------------
 
-def _step_error(step, model, x, labels, cfg, params) -> float:
-    """Worst gradient error of one training step's loss over ``params``."""
-    return _max_over(*(grad_check(lambda _t: step(model, x, labels, cfg)[0], p)
-                       for p in params))
+def _step_check(family: str, model_seed: int, labels, pick, **switches):
+    """The check of one training step's loss over the ``pick(model)``
+    tensors of a tiny 8 px, 3-class model built when the check runs;
+    ``switches`` are config fields (``branch_max`` also sets the ensemble's
+    branch count)."""
+    cfg = ExperimentConfig(family, **switches)
 
+    def check(rng):
+        ensemble = family == "ensemble"
+        model = (build_ensemble(3, branch_max=cfg.branch_max, seed=model_seed, input_size=8,
+                                initial_branches=cfg.branch_max) if ensemble
+                 else build_dual_branch(3, seed=model_seed, input_size=8))
+        step = _ensemble_step if ensemble else _dual_step
+        x = np.clip(rng.normal(0.4, 0.25, (2, 1, 8, 8)), 0.0, 1.0)
+        y = np.array(labels)
+        return _max_over(*(grad_check(lambda _t: step(model, x, y, cfg)[0], p)
+                           for p in pick(model)))
 
-def _check_esr_loss(rng):
-    """The ensemble training step's loss at the default config."""
-    model = build_ensemble(class_count=3, branch_max=2, attention_enabled=True,
-                           seed=7, input_size=8, initial_branches=2)
-    x = np.clip(rng.normal(0.4, 0.25, (2, 1, 8, 8)), 0.0, 1.0)
-    b = model.branches[0]
-    return _step_error(_ensemble_step, model, x, np.array([0, 2]), ExperimentConfig("ensemble"),
-                       [model.base.conv1.weights, b.conv1.bias, b.attn2.fc1.weights,
-                        b.attn2.spatial_conv.weights, b.head.weights])
-
-
-def _check_manet_loss(rng):
-    """The dual-branch training step's loss at the default config."""
-    model = build_dual_branch(class_count=3, attention_enabled=True, seed=11,
-                              input_size=8, lambda_balance=0.6)
-    x = np.clip(rng.normal(0.4, 0.25, (2, 1, 8, 8)), 0.0, 1.0)
-    return _step_error(_dual_step, model, x, np.array([1, 2]), ExperimentConfig("dual_branch"),
-                       [model.backbone.conv1.weights, model.global_conv.bias,
-                        model.local_convs[2].bias, model.local_head.weights,
-                        model.global_head.bias])
-
-
-def _check_esr_loss_switches(rng):
-    """The ensemble step over three branches with every attended layer
-    tapped and unit-normalized features."""
-    model = build_ensemble(class_count=3, branch_max=3, attention_enabled=True,
-                           seed=5, input_size=8, initial_branches=3)
-    x = np.clip(rng.normal(0.4, 0.25, (2, 1, 8, 8)), 0.0, 1.0)
-    cfg = ExperimentConfig("ensemble", diversity_tap="all", normalize_features=True)
-    b0, b1, b2 = model.branches
-    return _step_error(_ensemble_step, model, x, np.array([2, 1]), cfg,
-                       [model.base.conv1.weights, b0.conv1.bias, b1.attn1.fc1.weights,
-                        b2.attn1.spatial_conv.weights, b1.head.weights])
-
-
-def _check_manet_loss_switches(rng):
-    """The dual-branch step with max pooling and unit-normalized features."""
-    model = build_dual_branch(class_count=3, attention_enabled=True, seed=13,
-                              input_size=8, lambda_balance=0.6)
-    x = np.clip(rng.normal(0.4, 0.25, (2, 1, 8, 8)), 0.0, 1.0)
-    cfg = ExperimentConfig("dual_branch", pool_op="max", normalize_features=True)
-    return _step_error(_dual_step, model, x, np.array([0, 1]), cfg,
-                       [model.backbone.conv1.weights, model.local_convs[1].bias,
-                        model.local_attns[3].fc1.weights,
-                        model.global_attn.spatial_conv.weights, model.global_head.weights])
+    return check
 
 
 # (name, seed, threshold, check): each seed is frozen so that adding or
@@ -359,10 +327,27 @@ _CHECKS = [
     ("similarity", 22, OP_TOL, _check_similarity),
     ("det", 23, OP_TOL, _check_det),
     ("diversity_grad", 24, OP_TOL, _check_diversity_grad),
-    ("esr_loss", 27, COMPOSITE_TOL, _check_esr_loss),
-    ("manet_loss", 28, COMPOSITE_TOL, _check_manet_loss),
-    ("esr_loss_switches", 29, COMPOSITE_TOL, _check_esr_loss_switches),
-    ("manet_loss_switches", 30, COMPOSITE_TOL, _check_manet_loss_switches),
+    # each training step's loss at the default config, then with the
+    # switches that add ops
+    ("esr_loss", 27, COMPOSITE_TOL, _step_check(
+        "ensemble", 7, (0, 2), lambda m: [
+            m.base.conv1.weights, m.branches[0].conv1.bias, m.branches[0].attn2.fc1.weights,
+            m.branches[0].attn2.spatial_conv.weights, m.branches[0].head.weights],
+        branch_max=2)),
+    ("manet_loss", 28, COMPOSITE_TOL, _step_check(
+        "dual_branch", 11, (1, 2), lambda m: [
+            m.backbone.conv1.weights, m.global_conv.bias, m.local_convs[2].bias,
+            m.local_head.weights, m.global_head.bias])),
+    ("esr_loss_switches", 29, COMPOSITE_TOL, _step_check(
+        "ensemble", 5, (2, 1), lambda m: [
+            m.base.conv1.weights, m.branches[0].conv1.bias, m.branches[1].attn1.fc1.weights,
+            m.branches[2].attn1.spatial_conv.weights, m.branches[1].head.weights],
+        branch_max=3, diversity_tap="all", normalize_features=True)),
+    ("manet_loss_switches", 30, COMPOSITE_TOL, _step_check(
+        "dual_branch", 13, (0, 1), lambda m: [
+            m.backbone.conv1.weights, m.local_convs[1].bias, m.local_attns[3].fc1.weights,
+            m.global_attn.spatial_conv.weights, m.global_head.weights],
+        pool_op="max", normalize_features=True)),
 ]
 
 

@@ -1,9 +1,13 @@
 """Model families built on the tape: a width-growing attention ensemble
 and a dual-branch (local patches + global map) network.
 
-Both share a two-conv stride-2 base. Ensemble branches are
-conv -> attention -> conv -> attention -> GAP -> dense and are added on a
-schedule by the trainer; adding one never perturbs existing weights.
+Both share a two-conv stride-2 base and are built from one stage: a 3x3,
+pad-1 conv to BRANCH_CHANNELS followed, when attention is on, by a
+channel-then-spatial attention block whose spatial kernel fits the conv's
+output (7, or 3 below 7 px); the blocks' maps are what the diversity
+terms compare. Ensemble branches are stage -> stage (stride 2) -> GAP ->
+dense and are added on a schedule by the trainer; adding one never
+perturbs existing weights.
 Each branch keeps its own layer objects, but the model runs them on one
 learner axis: each layer of all L branches is one grouped op, with
 (L, N, ...) results, and each branch's slice has the bits it would have
@@ -63,6 +67,33 @@ def _spatial_kernel(size: int) -> int:
     return 7 if size >= 7 else 3
 
 
+def _stream(*key: int) -> np.random.Generator:
+    """The seeded stream of one part of a model: (seed, 0) the base; (seed,
+    1, i) ensemble branch i; (seed, 1) the dual global path, (seed, 2, j)
+    its patch path j and (seed, 3) its two heads."""
+    return np.random.default_rng(np.random.SeedSequence(list(key)))
+
+
+def _parameters(*layers) -> list[Tensor]:
+    """The layers' tensors in order, skipping switched-off (None) attention."""
+    out = []
+    for layer in layers:
+        if layer is not None:
+            out.extend(layer.parameters())
+    return out
+
+
+def _attended_conv(in_channels: int, in_size: int, stride: int, attention: bool,
+                   rng) -> tuple[ConvLayer, AttentionBlock | None]:
+    """One stage's conv and, when attention is on, its block; both draw
+    from ``rng`` in that order."""
+    conv = ConvLayer(in_channels, BRANCH_CHANNELS, 3, stride=stride, padding=1, rng=rng)
+    size, _ = conv.out_size(in_size, in_size)
+    attn = (AttentionBlock(BRANCH_CHANNELS, reduction=4, spatial_kernel=_spatial_kernel(size),
+                           rng=rng) if attention else None)
+    return conv, attn
+
+
 class SharedBase:
     """Two stride-2 convs with relu; quarters the input resolution."""
 
@@ -79,37 +110,21 @@ class SharedBase:
         return relu(conv2d(h, self.conv2))
 
     def parameters(self) -> list[Tensor]:
-        return self.conv1.parameters() + self.conv2.parameters()
+        return _parameters(self.conv1, self.conv2)
 
 
 class EnsembleBranch:
-    """One classifier's layers: two conv stages, each optionally followed
-    by attention, then GAP and a dense layer. `EnsembleModel` runs every
-    branch's layers of a stage together."""
+    """One classifier's layers: two attended conv stages, then GAP and a
+    dense layer. `EnsembleModel` runs every branch's layers of a stage
+    together."""
 
-    def __init__(self, branch_id: int, in_channels: int, in_size: int,
-                 class_count: int, attention: bool, rng):
-        self.branch_id = branch_id
-        self.conv1 = ConvLayer(in_channels, BRANCH_CHANNELS, 3, stride=1, padding=1, rng=rng)
-        size1 = in_size
-        self.attn1 = (AttentionBlock(BRANCH_CHANNELS, reduction=4,
-                                     spatial_kernel=_spatial_kernel(size1), rng=rng)
-                      if attention else None)
-        self.conv2 = ConvLayer(BRANCH_CHANNELS, BRANCH_CHANNELS, 3, stride=2, padding=1, rng=rng)
-        size2, _ = self.conv2.out_size(size1, size1)
-        self.attn2 = (AttentionBlock(BRANCH_CHANNELS, reduction=4,
-                                     spatial_kernel=_spatial_kernel(size2), rng=rng)
-                      if attention else None)
+    def __init__(self, in_channels: int, in_size: int, class_count: int, attention: bool, rng):
+        self.conv1, self.attn1 = _attended_conv(in_channels, in_size, 1, attention, rng)
+        self.conv2, self.attn2 = _attended_conv(BRANCH_CHANNELS, in_size, 2, attention, rng)
         self.head = DenseLayer(BRANCH_CHANNELS, class_count, rng=rng, gain="linear")
 
     def parameters(self) -> list[Tensor]:
-        out = self.conv1.parameters()
-        if self.attn1 is not None:
-            out += self.attn1.parameters()
-        out += self.conv2.parameters()
-        if self.attn2 is not None:
-            out += self.attn2.parameters()
-        return out + self.head.parameters()
+        return _parameters(self.conv1, self.attn1, self.conv2, self.attn2, self.head)
 
 
 @dataclass
@@ -153,10 +168,6 @@ class EnsembleModel:
         return out
 
 
-def _branch_rng(seed: int, branch_id: int):
-    return np.random.default_rng(np.random.SeedSequence([seed, 1, branch_id]))
-
-
 def add_branch(model: EnsembleModel) -> EnsembleModel:
     """Append a freshly initialized branch; existing tensors untouched.
 
@@ -166,11 +177,9 @@ def add_branch(model: EnsembleModel) -> EnsembleModel:
     if len(model.branches) >= model.branch_max:
         raise CapacityError(
             f"cannot add branch: capacity {model.branch_max} already reached")
-    idx = len(model.branches)
-    branch = EnsembleBranch(idx, model.base.out_channels, model.base.out_size,
-                            model.class_count, model.attention_enabled,
-                            _branch_rng(model.seed, idx))
-    model.branches.append(branch)
+    model.branches.append(EnsembleBranch(model.base.out_channels, model.base.out_size,
+                                         model.class_count, model.attention_enabled,
+                                         _stream(model.seed, 1, len(model.branches))))
     return model
 
 
@@ -185,11 +194,9 @@ def build_ensemble(class_count: int, branch_max: int = 3, attention_enabled: boo
         raise ValueError(f"initial_branches must be in [1, {branch_max}], got {initial_branches}")
     if input_size < 4:
         raise ValueError(f"input_size must be >= 4, got {input_size}")
-    base_rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
-    base = SharedBase(1, input_size, base_rng)
-    model = EnsembleModel(base=base, branches=[], class_count=class_count,
-                          branch_max=branch_max, attention_enabled=attention_enabled,
-                          seed=seed, input_size=input_size)
+    model = EnsembleModel(base=SharedBase(1, input_size, _stream(seed, 0)), branches=[],
+                          class_count=class_count, branch_max=branch_max,
+                          attention_enabled=attention_enabled, seed=seed, input_size=input_size)
     for _ in range(initial_branches):
         add_branch(model)
     return model
@@ -267,32 +274,17 @@ class DualBranchModel:
         self.input_size = input_size
         self.lambda_balance = lambda_balance
 
-        base_rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
-        self.backbone = SharedBase(1, input_size, base_rng)
+        self.backbone = SharedBase(1, input_size, _stream(seed, 0))
         size = self.backbone.out_size
         if size % 2:
             raise ValueError(f"backbone output {size}x{size} cannot be patchified")
         c = self.backbone.out_channels
-
-        g_rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
-        self.global_conv = ConvLayer(c, BRANCH_CHANNELS, 3, stride=1, padding=1, rng=g_rng)
-        self.global_attn = (AttentionBlock(BRANCH_CHANNELS, reduction=4,
-                                           spatial_kernel=_spatial_kernel(size), rng=g_rng)
-                            if attention_enabled else None)
-
-        self.local_convs: list[ConvLayer] = []
-        self.local_attns: list[AttentionBlock | None] = []
-        patch_size = size // 2
-        for j in range(4):
-            l_rng = np.random.default_rng(np.random.SeedSequence([seed, 2, j]))
-            self.local_convs.append(
-                ConvLayer(c, BRANCH_CHANNELS, 3, stride=1, padding=1, rng=l_rng))
-            self.local_attns.append(
-                AttentionBlock(BRANCH_CHANNELS, reduction=4,
-                               spatial_kernel=_spatial_kernel(patch_size), rng=l_rng)
-                if attention_enabled else None)
-
-        h_rng = np.random.default_rng(np.random.SeedSequence([seed, 3]))
+        self.global_conv, self.global_attn = _attended_conv(c, size, 1, attention_enabled,
+                                                            _stream(seed, 1))
+        self.local_convs, self.local_attns = map(list, zip(*(
+            _attended_conv(c, size // 2, 1, attention_enabled, _stream(seed, 2, j))
+            for j in range(4))))
+        h_rng = _stream(seed, 3)
         self.local_head = DenseLayer(BRANCH_CHANNELS, class_count, rng=h_rng, gain="linear")
         self.global_head = DenseLayer(BRANCH_CHANNELS, class_count, rng=h_rng, gain="linear")
 
@@ -316,14 +308,9 @@ class DualBranchModel:
         )
 
     def parameters(self) -> list[Tensor]:
-        out = self.backbone.parameters() + self.global_conv.parameters()
-        if self.global_attn is not None:
-            out += self.global_attn.parameters()
-        for conv, attn in zip(self.local_convs, self.local_attns):
-            out += conv.parameters()
-            if attn is not None:
-                out += attn.parameters()
-        return out + self.local_head.parameters() + self.global_head.parameters()
+        local = [layer for pair in zip(self.local_convs, self.local_attns) for layer in pair]
+        return _parameters(self.backbone, self.global_conv, self.global_attn, *local,
+                           self.local_head, self.global_head)
 
 
 def build_dual_branch(class_count: int, attention_enabled: bool = True, seed: int = 0,

@@ -84,6 +84,18 @@ def _stacked(arrays) -> np.ndarray:
     return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
+def _im2col(maps: np.ndarray, k: int, s: int, p: int) -> np.ndarray:
+    """Every k x k window at stride s of the zero-padded (B, C, H, W) maps,
+    one (C*k*k) row each, row-major over (B, OH, OW); the padded copy is
+    freed on return."""
+    b, c, h, w = maps.shape
+    # zero border by assignment: np.pad costs more than the copy itself here
+    xp = np.zeros((b, c, h + 2 * p, w + 2 * p))
+    xp[:, :, p:p + h, p:p + w] = maps
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::s, ::s]
+    return windows.transpose(0, 2, 3, 1, 4, 5).reshape(-1, c * k * k)
+
+
 def conv2d(x: Tensor, layer) -> Tensor:
     """Cross-correlation plus bias.
 
@@ -110,21 +122,14 @@ def conv2d(x: Tensor, layer) -> Tensor:
     o, count = first.out_channels, len(layers)
     oh, ow = first.out_size(h, w)
 
-    # the learners' maps folded into the batch axis: (1 or L)*n images
-    xb = x.data.reshape((-1, ci, h, w))
-    # zero border by assignment: np.pad costs more than the copy itself here
-    xp = np.zeros((len(xb), ci, h + 2 * p, w + 2 * p))
-    xp[:, :, p:p + h, p:p + w] = xb
-    # im2col: window view (b,ci,oh,ow,k,k) -> (1 or L, n*oh*ow, ci*k*k), one
-    # dgemm per learner
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
-    windows = windows[:, :, ::s, ::s]
-    col = windows.transpose(0, 2, 3, 1, 4, 5).reshape(-1, n * oh * ow, ci * k * k)
+    hp, wp = h + 2 * p, w + 2 * p
+    # the learners' maps folded into the batch axis, (1 or L)*n images, and
+    # their windows as (1 or L, n*oh*ow, ci*k*k) rows: one dgemm per learner
+    col = _im2col(x.data.reshape((-1, ci, h, w)), k, s, p).reshape(-1, n * oh * ow, ci * k * k)
     w2 = _stacked([l.weights.data for l in layers]).reshape(count, o, ci * k * k)
-    bias = _stacked([l.bias.data for l in layers])
-    out2 = np.matmul(col, w2.transpose(0, 2, 1))
-    out = out2.reshape(count, n, oh, ow, o).transpose(0, 1, 4, 2, 3) \
-        + bias[:, None, :, None, None]
+    out = np.matmul(col, w2.transpose(0, 2, 1)).reshape(count, n, oh, ow, o)
+    out += _stacked([l.bias.data for l in layers])[:, None, None, None, :]
+    out = out.transpose(0, 1, 4, 2, 3)
 
     def back(g):
         gs = g if grouped else g[None]
@@ -134,13 +139,13 @@ def conv2d(x: Tensor, layer) -> Tensor:
         for l, gw in zip(layers, np.matmul(g2.transpose(0, 2, 1), col)):
             accumulate(l.weights, gw.reshape(l.weights.data.shape))
         dcol = np.matmul(g2, w2).reshape(count * n, oh, ow, ci, k, k)
-        dxp = np.zeros((count * n,) + xp.shape[1:])
+        dxp = np.zeros((count * n, ci, hp, wp))
         for ki in range(k):
             for kj in range(k):
                 dxp[:, :, ki:ki + (oh - 1) * s + 1:s, kj:kj + (ow - 1) * s + 1:s] += \
                     dcol[:, :, :, :, ki, kj].transpose(0, 3, 1, 2)
         if shared:
-            parts = dxp.reshape((count, n) + xp.shape[1:])
+            parts = dxp.reshape((count, n, ci, hp, wp))
             dxp = parts[0]
             for d in parts[1:]:
                 dxp = dxp + d

@@ -21,8 +21,7 @@ def test_tensor_defaults():
     assert t.data.dtype == np.float64
     assert t.requires_grad is False
     assert t.grad is None
-    assert t.shape == (3,)
-    assert t.size == 3
+    assert t.data.tolist() == [1.0, 2.0, 3.0]
 
 
 def test_scalar_broadcast_allowed_mismatch_rejected():

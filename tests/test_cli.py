@@ -3,6 +3,7 @@
 import argparse
 import json
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from divreg import cli, gradcheck
 from divreg.cli import _build_model, _parser, main
 from divreg.config import ExperimentConfig
-from divreg.data import load_dataset
+from divreg.data import GeneratorConfig, load_dataset
 from divreg.models import load_checkpoint
 from divreg.training import resolved_gammas
 from tape_oracle import scale_backward
@@ -378,3 +379,15 @@ def test_readme_cli_section_lists_exactly_the_options():
         assert set(re.findall(r"--[a-z-]+", usage)) == options, name
         offered |= options
     assert set(re.findall(r"--[a-z-]+", section)) <= offered
+
+
+def test_readme_cli_section_names_every_config_key():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"[`\"]([a-z_]+)[`\"]", section))
+    # the two families' echoes cover every key, "lambda" included
+    experiment = {key for family in ("ensemble", "dual_branch")
+                  for key in ExperimentConfig(family).to_dict()}
+    assert "lambda" in experiment
+    assert sorted(experiment - named) == []
+    assert sorted({f.name for f in fields(GeneratorConfig)} - named) == []

@@ -18,11 +18,6 @@ from divreg.training import _dual_step, _ensemble_step
 from tape_oracle import scale_backward
 
 
-@pytest.fixture(scope="module")
-def clean_results():
-    return run_suite()
-
-
 def test_suite_names_are_unique_and_cover_core_ops():
     names = [name for name, *_ in _CHECKS]
     assert len(names) == len(set(names))
@@ -33,12 +28,6 @@ def test_suite_names_are_unique_and_cover_core_ops():
                      "diversity_grad", "esr_loss", "manet_loss", "esr_loss_switches",
                      "manet_loss_switches"):
         assert expected in names
-
-
-def test_suite_all_pass(clean_results):
-    assert all(r.passed for r in clean_results)
-    for r in clean_results:
-        assert r.max_rel_err < r.threshold
 
 
 def test_report_text_format():

@@ -1,5 +1,6 @@
 """Ensemble and dual-branch model structure, growth, and checkpoints."""
 
+import hashlib
 import struct
 
 import numpy as np
@@ -91,6 +92,21 @@ def test_branch_init_depends_only_on_seed_and_index():
     direct = build_ensemble(4, branch_max=3, seed=5, input_size=8, initial_branches=3)
     for pg, pd in zip(grown.parameters(), direct.parameters()):
         np.testing.assert_array_equal(pg.data, pd.data)
+
+
+@pytest.mark.parametrize("build,digest", [
+    (lambda: build_ensemble(8, seed=0, input_size=32, initial_branches=3), "a25ce46c23f7"),
+    (lambda: build_ensemble(8, seed=0, input_size=32, initial_branches=3,
+                            attention_enabled=False), "d9da8bfd3555"),
+    (lambda: build_dual_branch(8, seed=0, input_size=32), "cefbf53e8d25"),
+    (lambda: build_dual_branch(8, seed=0, input_size=32, attention_enabled=False),
+     "7b39c34f5e2d"),
+], ids=["ensemble", "ensemble_no_attention", "dual", "dual_no_attention"])
+def test_fresh_build_checkpoint_bytes_are_frozen(build, digest, tmp_path):
+    # pins every draw's stream and order and the parameter order of a new model
+    path = tmp_path / "m.dvrg"
+    save_checkpoint(build(), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest()[:12] == digest
 
 
 def test_add_branch_leaves_existing_outputs_bit_exact():

@@ -100,6 +100,16 @@ def test_conv2d_input_gradient_matches_oracle_fd():
     np.testing.assert_allclose(xt.grad, fd, rtol=1e-6, atol=1e-8)
 
 
+def test_conv2d_backward_keeps_no_padded_copy():
+    # the tape holds the im2col rows the backward needs, not the padded input
+    layer = ConvLayer(3, 4, 3, stride=1, padding=1, rng=np.random.default_rng(2))
+    out = conv2d(var(np.ones((2, 3, 6, 6))), layer)
+    held = [c.cell_contents for c in out._backward.__closure__]
+    assert not [a.shape for a in held if isinstance(a, np.ndarray) and a.shape == (2, 3, 8, 8)]
+    # channels-last output, the layout the following reductions read
+    assert out.data.shape == (2, 4, 6, 6) and out.data.strides[1] == 8
+
+
 def test_linear_matches_numpy():
     rng = np.random.default_rng(5)
     layer = DenseLayer(4, 3, rng=rng)
