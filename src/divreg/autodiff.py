@@ -8,6 +8,8 @@ requires them.
 
 The ops here are the ones the training steps record, plus ``neg`` for
 writing a negated loss; `divreg gradcheck` checks each of them.
+A ``Row`` is one learner's parameter held as a row of an (L, ...) block
+tensor, so ops over all learners read and write the block whole.
 Inference runs inside ``no_grad()``: there every op returns a constant
 with no parent links and no backward closure, so nothing that only the
 backward pass would read (inputs, im2col matrices, masks) outlives it.
@@ -99,13 +101,62 @@ def _lift(x) -> Tensor:
     return Tensor(x)
 
 
+class Row(Tensor):
+    """One learner's parameter: row ``index`` of ``block``, a tensor whose
+    (L, ...) data and gradient hold L learners' parameters of one shape.
+
+    ``data`` and ``grad`` read the block's row, so an in-place write to
+    either reaches the block. Assigning ``data`` puts a copy of the block
+    with that row replaced in the block's place, so an array read before
+    keeps its values, as it does for a plain tensor. Assigning ``grad``
+    writes the row (allocating a zero block gradient first); assigning
+    None clears the whole block's gradient.
+    """
+    __slots__ = ("block", "index")
+
+    def __init__(self, block: Tensor, index: int):
+        self.block = block
+        self.index = index
+        self.requires_grad = True
+        self._parents = ()
+        self._backward = None
+        self._op = "leaf"
+
+    @property
+    def data(self) -> np.ndarray:
+        return self.block.data[self.index]
+
+    @data.setter
+    def data(self, value) -> None:
+        data = self.block.data.copy()
+        data[self.index] = value
+        self.block.data = data
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        g = self.block.grad
+        return None if g is None else g[self.index]
+
+    @grad.setter
+    def grad(self, value) -> None:
+        if value is None:
+            self.block.grad = None
+            return
+        if self.block.grad is None:
+            self.block.grad = np.zeros_like(self.block.data)
+        self.block.grad[self.index] = value
+
+
 def accumulate(t: Tensor, g: np.ndarray) -> None:
-    """Add ``g`` into ``t.grad`` (allocating zeros on first touch)."""
+    """Add ``g`` into ``t.grad``. The first write is one pass with the bits
+    and the memory order of ``zeros_like(t.data)`` plus ``g`` (so -0.0
+    becomes +0.0)."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        t.grad = np.add(g, 0.0, out=np.empty_like(t.data))
+    else:
+        t.grad += g
 
 
 def backward(root: Tensor) -> None:
@@ -194,17 +245,13 @@ def relu(a: Tensor) -> Tensor:
     return Tensor.from_op(np.where(mask, a.data, 0.0), (a,), back, "relu")
 
 
-def _sigmoid_stable(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 def sigmoid(a: Tensor) -> Tensor:
-    out_data = _sigmoid_stable(a.data)
+    """1 / (1 + e) where x >= 0 and e / (1 + e) elsewhere, e = exp(-|x|)
+    taken as exp(min(x, -x)): the bits of the two-branch masked form,
+    -0.0 and NaN included, without its masked copies."""
+    x = a.data
+    e = np.exp(np.minimum(x, -x))
+    out_data = np.where(x >= 0, 1.0, e) / (1.0 + e)
 
     def back(g):
         accumulate(a, g * out_data * (1.0 - out_data))

@@ -22,7 +22,8 @@ from .diversity import (channel_pool, det_gradient, det_t, similarity_matrix_t, 
                         unit_normalize)
 from .models import build_dual_branch, build_ensemble
 from .nn import (AttentionBlock, ConvLayer, DenseLayer, attention_apply, broadcast_mul,
-                 conv2d, global_avg_pool, linear, reduce_max, softmax_cross_entropy)
+                 conv2d, global_avg_pool, linear, reduce_max, softmax_cross_entropy,
+                 stack_learners)
 from .training import _dual_step, _ensemble_step
 
 OP_TOL = 1e-5
@@ -133,7 +134,8 @@ def _check_conv2d(rng):
     layer = ConvLayer(2, 3, 3, stride=1, padding=1, rng=rng)
     strided = ConvLayer(2, 2, 3, stride=2, padding=0, rng=rng)
     # three learners on one shared map and on a stack of their own maps
-    group = [ConvLayer(2, 3, 3, stride=2, padding=1, rng=rng) for _ in range(3)]
+    layers = [ConvLayer(2, 3, 3, stride=2, padding=1, rng=rng) for _ in range(3)]
+    group = stack_learners(layers)
     stack = _var(rng.normal(size=(3, 2, 2, 5, 5)))
     return _max_over(
         grad_check(lambda t: _mix(conv2d(t, layer), _rng(122)), x),
@@ -142,22 +144,23 @@ def _check_conv2d(rng):
         grad_check(lambda t: _mix(conv2d(x, strided), _rng(125)), strided.weights),
         grad_check(lambda t: _mix(conv2d(t, group), _rng(150)), x),
         grad_check(lambda t: _mix(conv2d(t, group), _rng(151)), stack),
-        grad_check(lambda t: _mix(conv2d(x, group), _rng(152)), group[1].weights),
-        grad_check(lambda t: _mix(conv2d(stack, group), _rng(153)), group[2].bias))
+        grad_check(lambda t: _mix(conv2d(x, group), _rng(152)), layers[1].weights),
+        grad_check(lambda t: _mix(conv2d(stack, group), _rng(153)), layers[2].bias))
 
 
 def _check_linear(rng):
     x = _var(rng.normal(size=(3, 4)))
     layer = DenseLayer(4, 2, rng=rng)
-    group = [DenseLayer(4, 2, rng=rng) for _ in range(3)]
+    layers = [DenseLayer(4, 2, rng=rng) for _ in range(3)]
+    group = stack_learners(layers)
     stack = _var(rng.normal(size=(3, 3, 4)))
     return _max_over(
         grad_check(lambda t: _mix(linear(t, layer), _rng(126)), x),
         grad_check(lambda t: _mix(linear(x, layer), _rng(127)), layer.weights),
         grad_check(lambda t: _mix(linear(x, layer), _rng(128)), layer.bias),
         grad_check(lambda t: _mix(linear(t, group), _rng(154)), stack),
-        grad_check(lambda t: _mix(linear(stack, group), _rng(155)), group[1].weights),
-        grad_check(lambda t: _mix(linear(stack, group), _rng(156)), group[2].bias))
+        grad_check(lambda t: _mix(linear(stack, group), _rng(155)), layers[1].weights),
+        grad_check(lambda t: _mix(linear(stack, group), _rng(156)), layers[2].bias))
 
 
 def _check_reduce_max(rng):
@@ -193,7 +196,8 @@ def _check_global_avg_pool(rng):
 def _check_attention(rng):
     x = _var(rng.normal(size=(2, 4, 4, 4)) + 0.5)
     block = AttentionBlock(4, reduction=4, spatial_kernel=3, rng=rng)
-    group = [AttentionBlock(4, reduction=4, spatial_kernel=3, rng=rng) for _ in range(3)]
+    blocks = [AttentionBlock(4, reduction=4, spatial_kernel=3, rng=rng) for _ in range(3)]
+    group = stack_learners(blocks)
     stack = _var(rng.normal(size=(3, 2, 4, 4, 4)) + 0.5)
 
     def scalar(feature, blocks=block):
@@ -208,8 +212,8 @@ def _check_attention(rng):
         grad_check(lambda t: scalar(x), block.spatial_conv.weights),
         grad_check(lambda t: scalar(x), block.fc2.bias),
         grad_check(lambda t: scalar(t, group), stack),
-        grad_check(lambda t: scalar(stack, group), group[1].fc1.weights),
-        grad_check(lambda t: scalar(stack, group), group[2].spatial_conv.weights))
+        grad_check(lambda t: scalar(stack, group), blocks[1].fc1.weights),
+        grad_check(lambda t: scalar(stack, group), blocks[2].spatial_conv.weights))
 
 
 # --- diversity core --------------------------------------------------------

@@ -8,13 +8,17 @@ output (7, or 3 below 7 px); the blocks' maps are what the diversity
 terms compare. Ensemble branches are stage -> stage (stride 2) -> GAP ->
 dense and are added on a schedule by the trainer; adding one never
 perturbs existing weights.
-Each branch keeps its own layer objects, but the model runs them on one
-learner axis: each layer of all L branches is one grouped op, with
-(L, N, ...) results, and each branch's slice has the bits it would have
-alone, so adding a branch leaves the others' outputs bit-identical.
-The dual-branch model stacks the base map's four patches on that learner
-axis, one grouped op per layer for all four paths (local branch), next to
-a full-map stack (global branch), with separate dense heads.
+Each branch keeps its own layer objects, but their parameters live in
+learner-major blocks: `EnsembleModel.stacked` groups each layer of all L
+branches (`nn.stack_learners`), each parameter as one (L, ...) block of
+which every branch's tensor is a row. The model runs each layer as one
+grouped op on those blocks, with (L, N, ...) results, and each branch's
+slice has the bits it would have alone, so adding a branch (one new row
+per block) leaves the others' outputs bit-identical. The dual-branch
+model stacks the base map's four patches on that learner axis, one
+grouped op per layer for all four paths (local branch, grouped as
+`patch_conv` and `patch_attn`), next to a full-map stack (global
+branch), with separate dense heads.
 
 Checkpoints use a small binary format, magic "DVRG": a fixed header
 (version, family, flags, branch counts, class count, input size,
@@ -32,8 +36,8 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import ShapeMismatch, Tensor, concat, relu, reshape
-from .nn import (AttentionBlock, AttentionMaps, ConvLayer, DenseLayer, attention_apply,
-                 conv2d, global_avg_pool, linear)
+from .nn import (AttentionBlock, AttentionMaps, ConvLayer, DenseLayer, add_learner,
+                 attention_apply, conv2d, global_avg_pool, linear, stack_learners)
 
 CHECKPOINT_MAGIC = b"DVRG"
 CHECKPOINT_VERSION = 1
@@ -136,21 +140,22 @@ class EnsembleModel:
     attention_enabled: bool
     seed: int
     input_size: int
+    stacked: EnsembleBranch | None = None  # the branches' layers grouped, one row each
 
     def stacked_forward(self, batch: Tensor) -> tuple[Tensor, list[AttentionMaps]]:
         """All L branches on one learner axis: (L, N, K) logits and, per
         attended layer, the AttentionMaps of (L, N, ...) map stacks. Each
-        layer is one grouped op over the branches' own weights; the first
-        conv reads the shared base map once for all of them."""
-        branches = self.branches
+        layer is one grouped op over the branches' parameter blocks; the
+        first conv reads the shared base map once for all of them."""
+        s = self.stacked
         h = self.base.forward(batch)
         maps = []
-        for conv, attn in (("conv1", "attn1"), ("conv2", "attn2")):
-            h = relu(conv2d(h, [getattr(b, conv) for b in branches]))
-            if self.attention_enabled:
-                h, m = attention_apply(h, [getattr(b, attn) for b in branches])
+        for conv, attn in ((s.conv1, s.attn1), (s.conv2, s.attn2)):
+            h = relu(conv2d(h, conv))
+            if attn is not None:
+                h, m = attention_apply(h, attn)
                 maps.append(m)
-        return linear(global_avg_pool(h), [b.head for b in branches]), maps
+        return linear(global_avg_pool(h), s.head), maps
 
     def forward(self, batch: Tensor) -> tuple[list[Tensor], list[list[AttentionMaps]]]:
         """Per branch: its (N, K) logits and its list of AttentionMaps,
@@ -169,7 +174,8 @@ class EnsembleModel:
 
 
 def add_branch(model: EnsembleModel) -> EnsembleModel:
-    """Append a freshly initialized branch; existing tensors untouched.
+    """Append a freshly initialized branch as one new row of each parameter
+    block; existing values untouched.
 
     Branch weights depend only on (model seed, branch index), so growth
     order cannot perturb earlier branches.
@@ -177,9 +183,10 @@ def add_branch(model: EnsembleModel) -> EnsembleModel:
     if len(model.branches) >= model.branch_max:
         raise CapacityError(
             f"cannot add branch: capacity {model.branch_max} already reached")
-    model.branches.append(EnsembleBranch(model.base.out_channels, model.base.out_size,
-                                         model.class_count, model.attention_enabled,
-                                         _stream(model.seed, 1, len(model.branches))))
+    branch = EnsembleBranch(model.base.out_channels, model.base.out_size, model.class_count,
+                            model.attention_enabled, _stream(model.seed, 1, len(model.branches)))
+    model.stacked = add_learner(model.stacked, branch)
+    model.branches.append(branch)
     return model
 
 
@@ -203,12 +210,14 @@ def build_ensemble(class_count: int, branch_max: int = 3, attention_enabled: boo
 
 
 def ensemble_predict(logits_list) -> np.ndarray:
-    """Majority vote over branch argmaxes of L (N,K) logits (a list, or an
-    (L,N,K) stack); ties broken by the largest summed softmax over the
-    tied classes, then by lowest class index."""
+    """Majority vote over branch argmaxes of L (N,K) logits (a list of
+    arrays or Tensors, or an (L,N,K) stack); ties broken by the largest
+    summed softmax over the tied classes, then by lowest class index."""
     if len(logits_list) == 0:
         raise ValueError("need at least one branch's logits")
-    probs = np.stack([softmax_probs(lg) for lg in logits_list])  # (B,N,K)
+    if not isinstance(logits_list, np.ndarray):
+        logits_list = np.stack([lg.data if isinstance(lg, Tensor) else lg for lg in logits_list])
+    probs = softmax_probs(logits_list)  # (B,N,K)
     k = probs.shape[2]
     counts = (probs.argmax(axis=2)[:, :, None] == np.arange(k)).sum(axis=0)  # (N,K)
     tied = counts == counts.max(axis=1, keepdims=True)
@@ -284,6 +293,8 @@ class DualBranchModel:
         self.local_convs, self.local_attns = map(list, zip(*(
             _attended_conv(c, size // 2, 1, attention_enabled, _stream(seed, 2, j))
             for j in range(4))))
+        self.patch_conv = stack_learners(self.local_convs)
+        self.patch_attn = stack_learners(self.local_attns) if attention_enabled else None
         h_rng = _stream(seed, 3)
         self.local_head = DenseLayer(BRANCH_CHANNELS, class_count, rng=h_rng, gain="linear")
         self.global_head = DenseLayer(BRANCH_CHANNELS, class_count, rng=h_rng, gain="linear")
@@ -291,9 +302,9 @@ class DualBranchModel:
     def forward(self, batch: Tensor) -> DualForward:
         shared = self.backbone.forward(batch)
         # local first: inference then holds no global map at the grouped layers' memory peak
-        patches = relu(conv2d(patchify(shared), self.local_convs))
-        if self.attention_enabled:
-            patches, _ = attention_apply(patches, self.local_attns)
+        patches = relu(conv2d(patchify(shared), self.patch_conv))
+        if self.patch_attn is not None:
+            patches, _ = attention_apply(patches, self.patch_attn)
         local_vec = global_avg_pool(unpatchify(patches))
 
         g = relu(conv2d(shared, self.global_conv))
@@ -410,7 +421,8 @@ def load_checkpoint(path):
         while len(model.branches) < count:
             add_branch(model)
     for p in model.parameters():
-        arr = np.frombuffer(buf, dtype="<f8", count=p.data.size, offset=offset)
-        p.data = arr.astype(np.float64).reshape(p.data.shape)
-        offset += p.data.size * 8
+        view = p.data  # written in place: assigning a Row's data copies its whole block
+        arr = np.frombuffer(buf, dtype="<f8", count=view.size, offset=offset)
+        view[...] = arr.reshape(view.shape)
+        offset += view.size * 8
     return model

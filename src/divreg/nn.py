@@ -6,15 +6,17 @@ channel/spatial attention block whose maps feed the diversity machinery.
 Every primitive takes batched input only: (N,C,H,W) feature maps and
 (N,K) logits; any other rank raises ``ShapeMismatch``.
 
-The learner axis: `conv2d`, `linear` and `attention_apply` also take the
-list of L learners' layers (blocks) of one shape, the ensemble's branches
-or the dual model's four patch paths, and then work on (L,N,...) stacks,
-one grouped op per layer for all learners, splitting each weight
-gradient back into that learner's own tensors. The elementwise ops and
-reductions run on such stacks unchanged, and the cross-entropy sums the
-learners' mean losses. One layer is the group of one, without the
-leading axis. A learner's slice of any result has the bits it has when
-that learner runs alone.
+The learner axis: `conv2d`, `linear` and `attention_apply` also take a
+group of L learners' layers of one shape (`stack_learners`), the
+ensemble's branches or the dual model's four patch paths, and then work
+on (L,N,...) stacks, one grouped op per layer for all learners. A group
+keeps each parameter of its L layers as one (L, ...) block, and each
+layer's own tensor is a `Row` of it; so an op reads the block as it is,
+records one weight and one bias parent at any L, and writes one gradient
+block. The elementwise ops and reductions run on such stacks unchanged,
+and the cross-entropy sums the learners' mean losses. One layer is the
+group of one, without the leading axis. A learner's slice of any result
+has the bits it has when that learner runs alone.
 
 All primitives register custom backwards via ``Tensor.from_op`` and are
 covered by finite-difference checks in the verification suite.
@@ -22,20 +24,12 @@ covered by finite-difference checks in the verification suite.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (
-    ShapeMismatch,
-    Tensor,
-    accumulate,
-    concat,
-    relu,
-    reshape,
-    sigmoid,
-    tmean,
-)
+from .autodiff import Row, ShapeMismatch, Tensor, accumulate, concat, relu, reshape, sigmoid, tmean
 
 
 class ConvLayer:
@@ -72,16 +66,61 @@ class ConvLayer:
         return [self.weights, self.bias]
 
 
-def _group(layer) -> tuple[list, bool]:
-    """The learners' layers and whether they came as a list: one layer is
-    the group of one, whose results carry no learner axis."""
-    return (layer, True) if isinstance(layer, list) else ([layer], False)
+def _layout(layer, lead: int) -> list:
+    """Each attribute of ``layer``: a tensor's shape past its first ``lead``
+    axes, a sub-layer's layout, anything else (kernel, stride, ...) as is."""
+    return [(name, part.data.shape[lead:] if isinstance(part, Tensor)
+             else _layout(part, lead) if hasattr(part, "parameters") else part)
+            for name, part in vars(layer).items()]
 
 
-def _stacked(arrays) -> np.ndarray:
-    """The learners' arrays on a leading axis; a view for one learner,
-    which spares the copy on every single-layer call."""
-    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+def add_learner(group, layer):
+    """Append ``layer`` as the last learner of ``group`` and return the group.
+
+    A group is a layer of ``layer``'s kind whose tensors are blocks: L
+    learners' parameters of one shape on a leading (L, ...) axis, which
+    the grouped ops read whole. ``None`` starts a group of one. The
+    layer's values are copied into a new row of each block, and each of
+    its tensors becomes that `Row`, so the layer keeps working alone.
+    Sub-layers (an attention block's) are grouped alike. A layer whose
+    shapes or settings differ from the group's raises ``ShapeMismatch``
+    and changes nothing.
+    """
+    if group is not None and _layout(group, 1) != _layout(layer, 0):
+        raise ShapeMismatch("add_learner", _layout(group, 1), _layout(layer, 0))
+    return _join(group, layer)
+
+
+def _join(group, layer):
+    """`add_learner` past its check."""
+    fresh = group is None
+    if fresh:
+        group = object.__new__(type(layer))
+        vars(group).update(vars(layer))
+    for name, part in list(vars(layer).items()):
+        if isinstance(part, Tensor):
+            if fresh:
+                block = Tensor(part.data[None], requires_grad=True)
+                setattr(group, name, block)
+            else:
+                block = getattr(group, name)
+                block.data = np.concatenate([block.data, part.data[None]])
+                block.grad = None
+            setattr(layer, name, Row(block, len(block.data) - 1))
+        elif hasattr(part, "parameters"):
+            setattr(group, name, _join(None if fresh else getattr(group, name), part))
+    return group
+
+
+def stack_learners(layers):
+    """The group of ``layers`` in order (see `add_learner`)."""
+    return functools.reduce(add_learner, layers, None)
+
+
+def _lead(a: np.ndarray, grouped: bool) -> np.ndarray:
+    """A group's block as it is, or one layer's array with a learner axis
+    of one (a view)."""
+    return a if grouped else a[None]
 
 
 def _im2col(maps: np.ndarray, k: int, s: int, p: int) -> np.ndarray:
@@ -96,63 +135,64 @@ def _im2col(maps: np.ndarray, k: int, s: int, p: int) -> np.ndarray:
     return windows.transpose(0, 2, 3, 1, 4, 5).reshape(-1, c * k * k)
 
 
-def conv2d(x: Tensor, layer) -> Tensor:
+def conv2d(x: Tensor, layer: ConvLayer) -> Tensor:
     """Cross-correlation plus bias.
 
-    ``layer`` is one ConvLayer, for (N,C,H,W) input and output, or a list
-    of L learners' ConvLayers of one shape, for (L,N,O,OH,OW) output from
-    one (N,C,H,W) map they all read (one im2col for all) or from the
-    (L,N,C,H,W) stack of their own maps. A learner's slice has the bits of
-    that learner alone, whatever L is: the batched matmul runs one GEMM
-    per learner, the output keeps the channels-last strides the following
-    reductions read, and a shared input adds the learners' gradients in
-    learner order.
+    ``layer`` is one ConvLayer, for (N,C,H,W) input and output, or a
+    group of L learners' ConvLayers (`stack_learners`), whose (L,O,C,k,k)
+    weight block gives (L,N,O,OH,OW) output from one (N,C,H,W) map they
+    all read (one im2col for all) or from the (L,N,C,H,W) stack of their
+    own maps. A learner's slice has the bits of that learner alone,
+    whatever L is: the batched matmul runs one GEMM per learner, the
+    output keeps the channels-last strides the following reductions read,
+    and a shared input adds the learners' gradients in learner order.
     """
-    layers, grouped = _group(layer)
-    first = layers[0]
+    grouped = layer.weights.data.ndim == 5
+    w = _lead(layer.weights.data, grouped)
+    count = len(w)
     shared = x.data.ndim == 4
-    if not shared and not (grouped and x.data.ndim == 5 and x.data.shape[0] == len(layers)):
+    if not shared and not (grouped and x.data.ndim == 5 and x.data.shape[0] == count):
         raise ShapeMismatch("conv2d", x.data.shape)
-    n, ci, h, w = x.data.shape[-4:]
-    geometry = (first.weights.data.shape, first.stride, first.padding)
-    if ci != first.in_channels or any(
-            (l.weights.data.shape, l.stride, l.padding) != geometry for l in layers):
-        raise ShapeMismatch("conv2d", x.data.shape, first.weights.data.shape)
-    k, s, p = first.kernel, first.stride, first.padding
-    o, count = first.out_channels, len(layers)
-    oh, ow = first.out_size(h, w)
+    n, ci, h, wd = x.data.shape[-4:]
+    if ci != layer.in_channels:
+        raise ShapeMismatch("conv2d", x.data.shape, layer.weights.data.shape)
+    k, s, p = layer.kernel, layer.stride, layer.padding
+    o = layer.out_channels
+    oh, ow = layer.out_size(h, wd)
 
-    hp, wp = h + 2 * p, w + 2 * p
+    hp, wp = h + 2 * p, wd + 2 * p
     # the learners' maps folded into the batch axis, (1 or L)*n images, and
     # their windows as (1 or L, n*oh*ow, ci*k*k) rows: one dgemm per learner
-    col = _im2col(x.data.reshape((-1, ci, h, w)), k, s, p).reshape(-1, n * oh * ow, ci * k * k)
-    w2 = _stacked([l.weights.data for l in layers]).reshape(count, o, ci * k * k)
+    col = _im2col(x.data.reshape((-1, ci, h, wd)), k, s, p).reshape(-1, n * oh * ow, ci * k * k)
+    w2 = w.reshape(count, o, ci * k * k)
     out = np.matmul(col, w2.transpose(0, 2, 1)).reshape(count, n, oh, ow, o)
-    out += _stacked([l.bias.data for l in layers])[:, None, None, None, :]
+    out += _lead(layer.bias.data, grouped)[:, None, None, None, :]
     out = out.transpose(0, 1, 4, 2, 3)
 
     def back(g):
-        gs = g if grouped else g[None]
-        for l, gb in zip(layers, gs.sum(axis=(1, 3, 4))):
-            accumulate(l.bias, gb)
+        gs = _lead(g, grouped)
+        gb = gs.sum(axis=(1, 3, 4))
+        accumulate(layer.bias, gb if grouped else gb[0])
         g2 = gs.transpose(0, 1, 3, 4, 2).reshape(count, n * oh * ow, o)
-        for l, gw in zip(layers, np.matmul(g2.transpose(0, 2, 1), col)):
-            accumulate(l.weights, gw.reshape(l.weights.data.shape))
+        gw = np.matmul(g2.transpose(0, 2, 1), col).reshape(w.shape)
+        accumulate(layer.weights, gw if grouped else gw[0])
         dcol = np.matmul(g2, w2).reshape(count * n, oh, ow, ci, k, k)
-        dxp = np.zeros((count * n, ci, hp, wp))
+        # channels-last, so each window's add runs along C in both arrays
+        dxp = np.zeros((count * n, hp, wp, ci))
         for ki in range(k):
             for kj in range(k):
-                dxp[:, :, ki:ki + (oh - 1) * s + 1:s, kj:kj + (ow - 1) * s + 1:s] += \
-                    dcol[:, :, :, :, ki, kj].transpose(0, 3, 1, 2)
+                dxp[:, ki:ki + (oh - 1) * s + 1:s, kj:kj + (ow - 1) * s + 1:s] += \
+                    dcol[:, :, :, :, ki, kj]
         if shared:
-            parts = dxp.reshape((count, n, ci, hp, wp))
+            parts = dxp.reshape((count, n, hp, wp, ci))
             dxp = parts[0]
             for d in parts[1:]:
                 dxp = dxp + d
-        accumulate(x, (dxp[:, :, p:p + h, p:p + w] if p else dxp).reshape(x.data.shape))
+        dx = dxp.transpose(0, 3, 1, 2)
+        accumulate(x, (dx[:, :, p:p + h, p:p + wd] if p else dx).reshape(x.data.shape))
 
-    params = tuple(t for l in layers for t in l.parameters())
-    return Tensor.from_op(out if grouped else out[0], (x,) + params, back, "conv2d")
+    return Tensor.from_op(out if grouped else out[0], (x, layer.weights, layer.bias), back,
+                          "conv2d")
 
 
 class DenseLayer:
@@ -172,59 +212,50 @@ class DenseLayer:
         return [self.weights, self.bias]
 
 
-def linear(x: Tensor, layer) -> Tensor:
+def linear(x: Tensor, layer: DenseLayer) -> Tensor:
     """Affine map of (N, in) rows by one DenseLayer, or of the (L, N, in)
-    stack by a list of L learners' DenseLayers, one batched matmul; each
+    stack by a group of L learners' DenseLayers, one batched matmul; each
     learner's slice has the bits of that learner run alone."""
-    layers, grouped = _group(layer)
-    wshape = layers[0].weights.data.shape
-    xs = x.data if grouped else x.data[None]
-    if (xs.ndim != 3 or xs.shape[0] != len(layers) or xs.shape[2] != wshape[0]
-            or any(l.weights.data.shape != wshape for l in layers)):
-        raise ShapeMismatch("linear", x.data.shape, wshape)
-    w = _stacked([l.weights.data for l in layers])
-    out = np.matmul(xs, w) + _stacked([l.bias.data for l in layers])[:, None, :]
+    grouped = layer.weights.data.ndim == 3
+    w = _lead(layer.weights.data, grouped)
+    xs = _lead(x.data, grouped)
+    if xs.ndim != 3 or xs.shape[0] != len(w) or xs.shape[2] != w.shape[1]:
+        raise ShapeMismatch("linear", x.data.shape, layer.weights.data.shape)
+    out = np.matmul(xs, w) + _lead(layer.bias.data, grouped)[:, None, :]
 
     def back(g):
-        gs = g if grouped else g[None]
+        gs = _lead(g, grouped)
         dx = np.matmul(gs, w.transpose(0, 2, 1))
+        gw = np.matmul(xs.transpose(0, 2, 1), gs)
+        gb = gs.sum(axis=1)
         accumulate(x, dx if grouped else dx[0])
-        for l, gw, gb in zip(layers, np.matmul(xs.transpose(0, 2, 1), gs), gs.sum(axis=1)):
-            accumulate(l.weights, gw)
-            accumulate(l.bias, gb)
+        accumulate(layer.weights, gw if grouped else gw[0])
+        accumulate(layer.bias, gb if grouped else gb[0])
 
-    params = tuple(t for l in layers for t in l.parameters())
-    return Tensor.from_op(out if grouped else out[0], (x,) + params, back, "linear")
+    return Tensor.from_op(out if grouped else out[0], (x, layer.weights, layer.bias), back,
+                          "linear")
 
 
 def reduce_max(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    """Max over axes; subgradient routes to the first argmax on ties."""
-    nd = a.data.ndim
-    if axis is None:
-        axes = tuple(range(nd))
-    else:
-        axes = (axis,) if isinstance(axis, int) else tuple(axis)
-    axes = tuple(sorted(ax % nd for ax in axes))
-    keep = tuple(i for i in range(nd) if i not in axes)
-    perm = keep + axes
-    xt = a.data.transpose(perm)
-    keep_shape = xt.shape[:len(keep)]
-    n_keep = int(np.prod(keep_shape)) if keep_shape else 1
-    n_red = int(np.prod(xt.shape[len(keep):])) if len(axes) else 1
-    flat = xt.reshape(n_keep, n_red)
-    idx = np.argmax(flat, axis=1)
-    vals = flat[np.arange(n_keep), idx]
-    if keepdims:
-        out_shape = tuple(1 if i in axes else a.data.shape[i] for i in range(nd))
-    else:
-        out_shape = keep_shape
-    out = vals.reshape(out_shape)
+    """Max over axes; the subgradient routes to the first argmax on ties.
+
+    The values come from ``np.max`` and the argmax is found only in the
+    backward, so inference never computes it. The two differ only on a
+    tie between +0.0 and -0.0, where the argmax's entry may be -0.0; every
+    call site reads relu outputs times sigmoid maps, which are >= +0.0.
+    """
+    out = np.asarray(np.max(a.data, axis=axis, keepdims=keepdims))
 
     def back(g):
-        z = np.zeros((n_keep, n_red))
-        z[np.arange(n_keep), idx] = g.reshape(n_keep)
-        zt = z.reshape(xt.shape)
-        accumulate(a, zt.transpose(np.argsort(perm)))
+        nd = a.data.ndim
+        axes = range(nd) if axis is None else (axis,) if isinstance(axis, int) else axis
+        axes = tuple(sorted(ax % nd for ax in axes))
+        perm = tuple(i for i in range(nd) if i not in axes) + axes
+        xt = a.data.transpose(perm)
+        flat = xt.reshape(g.size, -1)
+        z = np.zeros(flat.shape)
+        z[np.arange(g.size), np.argmax(flat, axis=1)] = g.reshape(-1)
+        accumulate(a, z.reshape(xt.shape).transpose(np.argsort(perm)))
 
     return Tensor.from_op(out, (a,), back, "reduce_max")
 
@@ -320,25 +351,19 @@ class AttentionBlock:
         return self.fc1.parameters() + self.fc2.parameters() + self.spatial_conv.parameters()
 
 
-def attention_apply(feature: Tensor, block) -> tuple[Tensor, AttentionMaps]:
+def attention_apply(feature: Tensor, block: AttentionBlock) -> tuple[Tensor, AttentionMaps]:
     """Refine an (N,C,H,W) ``feature`` by channel then spatial gating;
     returns the refined map and both attention maps (the diversity block's
-    inputs). A list of L learners' blocks refines the (L,N,C,H,W) stack
-    of their maps, each with its own block, in one pass of grouped ops."""
-    blocks, grouped = _group(block)
+    inputs). A group of L learners' blocks (`stack_learners`) refines the
+    (L,N,C,H,W) stack of their maps, each with its own block, in one pass
+    of grouped ops."""
     fd = feature.data
-    if (fd.ndim != (5 if grouped else 4) or fd.shape[-3] != blocks[0].channels
-            or (grouped and fd.shape[0] != len(blocks))):
+    lead = block.fc1.weights.data.shape[:-2]  # (L,) for a group, () for one block
+    if fd.ndim != 4 + len(lead) or fd.shape[:len(lead)] != lead or fd.shape[-3] != block.channels:
         raise ShapeMismatch("attention_apply", fd.shape)
 
-    def part(name):
-        layers = [getattr(b, name) for b in blocks]
-        return layers if grouped else layers[0]
-
-    fc1, fc2 = part("fc1"), part("fc2")
-
     def mlp(d):
-        return linear(relu(linear(d, fc1)), fc2)
+        return linear(relu(linear(d, block.fc1)), block.fc2)
 
     avg_desc = tmean(feature, axis=(-2, -1))
     max_desc = reduce_max(feature, axis=(-2, -1))
@@ -347,6 +372,6 @@ def attention_apply(feature: Tensor, block) -> tuple[Tensor, AttentionMaps]:
 
     sp_stack = concat([tmean(xc, axis=-3, keepdims=True),
                        reduce_max(xc, axis=-3, keepdims=True)], axis=-3)
-    sp_map = sigmoid(conv2d(sp_stack, part("spatial_conv")))
+    sp_map = sigmoid(conv2d(sp_stack, block.spatial_conv))
     refined = broadcast_mul(xc, sp_map)
     return refined, AttentionMaps(channel_map=ch_map, spatial_map=sp_map)

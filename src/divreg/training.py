@@ -11,6 +11,9 @@ The ensemble step runs all branches on one learner axis
 the (L, N, K) logits, and each D reads the (L, N, ...) attention-map
 stacks directly, so a step records the same number of tape nodes at any
 branch count; the dual step pools its (4, N, ...) patch-path stack once per D.
+The branches' parameters are (L, ...) blocks (see `nn.add_learner`), so the
+backward writes one gradient per block and `SGD` updates each block at once:
+neither grows with the branch count.
 
 Subtracting diversity rewards dissimilar learners. Each loss takes
 DiversityScores and returns the scalar loss tensor plus a LossBreakdown
@@ -70,9 +73,17 @@ class LossBreakdown:
         return all(np.isfinite(v) for v in vals if v is not None)
 
 
+def _storage(params) -> list:
+    """The tensors that hold ``params``, in order and each once: the block
+    of a learner's `Row`, a lone tensor itself."""
+    return list(dict.fromkeys(getattr(p, "block", p) for p in params))
+
+
 class SGD:
-    """v <- momentum v + g; theta <- theta - lr v. Velocity is kept per
-    parameter tensor, so parameters added mid-run start from v = 0."""
+    """v <- momentum v + g; theta <- theta - lr v, one update per parameter
+    block (a learner group's block or a lone tensor), so a step makes the
+    same numpy calls at any branch count. A tensor's velocity starts as its
+    first gradient, and so do the rows a branch adds to a block."""
 
     def __init__(self, learning_rate: float, momentum: float = 0.0):
         if not learning_rate > 0:
@@ -84,16 +95,21 @@ class SGD:
         self.velocity: dict[int, np.ndarray] = {}
 
     def zero_grad(self, params):
-        for p in params:
-            p.grad = None
+        for t in _storage(params):
+            t.grad = None
 
     def step(self, params):
-        for p in params:
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            v = self.velocity.get(id(p))
-            v = g.copy() if v is None else self.momentum * v + g
-            self.velocity[id(p)] = v
-            p.data = p.data - self.learning_rate * v
+        for t in _storage(params):
+            g = t.grad if t.grad is not None else np.zeros_like(t.data)
+            v = self.velocity.get(id(t))
+            if v is None:
+                v = g.copy()
+            elif v.shape != g.shape:  # a block that grew since the last step
+                v = np.concatenate([self.momentum * v + g[:len(v)], g[len(v):]])
+            else:
+                v = self.momentum * v + g
+            self.velocity[id(t)] = v
+            t.data = t.data - self.learning_rate * v
 
 
 def _score_value(score) -> float | None:
@@ -269,8 +285,9 @@ def _checked_add(model: EnsembleModel, probe_images, epoch: int) -> BranchAddChe
 
 @no_grad()
 def _predict(model, dataset, batch_size: int):
-    """Combined predictions over the dataset and each branch's own argmax:
-    the ensemble's branches, or [local head, global head] of the dual model."""
+    """Combined predictions over the dataset and each branch's own argmax,
+    one row per branch: the ensemble's branches, or [local head, global
+    head] of the dual model."""
     bs = min(batch_size, len(dataset))
     preds, branch_preds = [], []
     for xb, _ in batches(dataset, bs, shuffle_seed=None):
@@ -278,14 +295,13 @@ def _predict(model, dataset, batch_size: int):
         if isinstance(model, EnsembleModel):
             logits = model.stacked_forward(x)[0].data
             preds.append(ensemble_predict(logits))
-            branch_preds.append(list(logits.argmax(axis=2)))
         else:
             res = model.forward(x)
             preds.append(dual_predict(res.global_logits, res.local_logits,
                                       model.lambda_balance))
-            branch_preds.append([res.local_logits.data.argmax(axis=1),
-                                 res.global_logits.data.argmax(axis=1)])
-    return np.concatenate(preds), [np.concatenate(chunks) for chunks in zip(*branch_preds)]
+            logits = np.stack([res.local_logits.data, res.global_logits.data])
+        branch_preds.append(logits.argmax(axis=2))
+    return np.concatenate(preds), np.concatenate(branch_preds, axis=1)
 
 
 def predict_dataset(model, dataset, batch_size: int = 64) -> np.ndarray:

@@ -202,6 +202,19 @@ def test_accumulate_sums_into_grad():
     accumulate(x, np.array([2.0]))
     accumulate(x, np.array([3.0]))
     np.testing.assert_array_equal(x.grad, [5.0])
+    # the first write has the bits and memory order of zeros_like + g:
+    # -0.0 becomes +0.0, and a channels-last tensor gets a channels-last grad
+    data = np.zeros((2, 4, 3, 3)).transpose(0, 3, 1, 2)
+    g = np.random.default_rng(0).normal(size=data.shape)
+    g[0, 1] = -0.0
+    t = var(data)
+    t.data = data  # Tensor() copies in C order; keep the strided layout
+    accumulate(t, g)
+    expected = np.zeros_like(data)
+    expected += g
+    assert t.grad.strides == expected.strides == data.strides
+    assert t.grad.tobytes() == expected.tobytes()
+    assert not np.signbit(t.grad[0, 1]).any()
 
 
 def test_grad_check_passes_composite():

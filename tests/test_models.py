@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from divreg import models
-from divreg.autodiff import ShapeMismatch, Tensor, backward
+from divreg.autodiff import Row, ShapeMismatch, Tensor, backward
 from divreg.models import (CapacityError, CheckpointFormatError, DualBranchModel,
                            EnsembleModel, _spatial_kernel, add_branch,
                            build_dual_branch, build_ensemble, dual_predict,
@@ -368,3 +368,89 @@ def test_checkpoint_shapes_checked_before_building_branches(tmp_path, monkeypatc
 def test_checkpoint_rejects_unknown_model_type(tmp_path):
     with pytest.raises(TypeError):
         save_checkpoint(object(), tmp_path / "x.dvrg")
+
+
+def _model_and_logits(family):
+    """An L=3 ensemble or the dual model (four patch paths), a function of
+    its logits on a fixed batch, and one learner's weight tensor."""
+    x = Tensor(rand_images(3, 8, seed=2))
+    if family == "ensemble":
+        model = build_ensemble(4, branch_max=3, seed=3, input_size=8, initial_branches=3)
+        return model, lambda: [lg.data for lg in model.forward(x)[0]], \
+            model.branches[1].conv2.weights
+    model = build_dual_branch(4, seed=3, input_size=8)
+
+    def logits():
+        res = model.forward(x)
+        return [res.local_logits.data, res.global_logits.data]
+    return model, logits, model.local_convs[2].weights
+
+
+@pytest.mark.parametrize("family", ["ensemble", "dual_branch"])
+def test_learner_rows_keep_the_parameter_contract(family):
+    # what gradcheck, the benchmark's finite-difference and reload checks
+    # and load_checkpoint rely on, for tensors that are rows of a block
+    model, logits, p = _model_and_logits(family)
+    assert isinstance(p, Row)
+    base = logits()
+
+    # an in-place write reaches the next forward...
+    flat = p.data.reshape(-1)  # as grad_check perturbs a parameter
+    flat += 0.5
+    moved = logits()
+    assert any(not np.array_equal(a, b) for a, b in zip(base, moved))
+    # ...and so does an assignment, while an array read before keeps its values
+    before = p.data
+    kept = before.copy()
+    p.data = before + 0.25
+    assert np.array_equal(before, kept)
+    assert any(not np.array_equal(a, b) for a, b in zip(moved, logits()))
+    p.data = before
+    assert all(np.array_equal(a, b) for a, b in zip(moved, logits()))
+
+    # the benchmark's loop: every parameter moved, then restored
+    params = model.parameters()
+    saved = [q.data for q in params]
+    copies = [s.copy() for s in saved]
+    for q, s in zip(params, saved):
+        q.data = s + 1e-3
+    for q, s in zip(params, saved):
+        q.data = s
+    assert all(np.array_equal(s, c) for s, c in zip(saved, copies))
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(moved, logits()))
+
+    # one backward sets every learner's gradient
+    for q in params:
+        q.grad = None
+    res = model.forward(Tensor(rand_images(3, 8, seed=2)))
+    loss = res[0][0] if family == "ensemble" else res.local_logits
+    for extra in (res[0][1:] if family == "ensemble" else [res.global_logits]):
+        loss = loss + extra
+    backward(tsum(loss))
+    assert all(q.grad is not None and q.grad.shape == q.data.shape for q in params)
+    assert sum(isinstance(q, Row) for q in params) == (54 if family == "ensemble" else 32)
+
+
+def test_grouped_forward_neither_copies_nor_grows_with_branches(monkeypatch):
+    # the grouped ops read each parameter block as it is: a forward makes no
+    # np.stack copy, and each grouped conv/linear node has one weight and
+    # one bias parent at any branch count
+    stacks = []
+    real_stack = np.stack
+    monkeypatch.setattr(np, "stack", lambda *a, **k: stacks.append(1) or real_stack(*a, **k))
+    parents = {}
+    from_op = Tensor.from_op.__func__
+
+    def recording(cls, data, ps, back, op):
+        if op in ("conv2d", "linear"):
+            parents.setdefault(branches, []).append(len(ps))
+        return from_op(cls, data, ps, back, op)
+
+    monkeypatch.setattr(Tensor, "from_op", classmethod(recording))
+    for branches in (3, 15):
+        model = build_ensemble(3, branch_max=15, seed=0, input_size=8, initial_branches=branches)
+        model.stacked_forward(Tensor(rand_images(2, 8)))
+    branches = "dual"
+    build_dual_branch(3, seed=0, input_size=16).forward(Tensor(rand_images(2, 16)))
+    assert stacks == []
+    assert parents[3] == parents[15] and set(parents[15]) == set(parents["dual"]) == {3}

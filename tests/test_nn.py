@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from divreg.autodiff import ShapeMismatch, Tensor, accumulate, backward
-from divreg.nn import (AttentionBlock, ConvLayer, DenseLayer, attention_apply,
+from divreg.autodiff import ShapeMismatch, Tensor, accumulate, backward, sigmoid
+from divreg.nn import (AttentionBlock, ConvLayer, DenseLayer, add_learner, attention_apply,
                        broadcast_mul, conv2d, global_avg_pool, linear,
-                       reduce_max, softmax_cross_entropy)
+                       reduce_max, softmax_cross_entropy, stack_learners)
 from tape_oracle import learner_attention, learner_conv2d, learner_linear, tsum
 
 
@@ -290,16 +290,16 @@ def _grouped_case(case, learners, rng):
         layers = [ConvLayer(6, 5, 3, stride=2, padding=1, rng=rng) for _ in range(learners)]
         shape = (4, 6, 5, 5) if case == "conv_shared" else (learners, 4, 6, 5, 5)
         return layers, rng.normal(size=shape), case == "conv_shared", \
-            lambda x, ls: [conv2d(x, ls)], lambda x, l: [learner_conv2d(x, l)]
+            lambda x, g: [conv2d(x, g)], lambda x, l: [learner_conv2d(x, l)]
     if case == "linear":
         layers = [DenseLayer(7, 3, rng=rng) for _ in range(learners)]
         return layers, rng.normal(size=(learners, 5, 7)), False, \
-            lambda x, ls: [linear(x, ls)], lambda x, l: [learner_linear(x, l)]
+            lambda x, g: [linear(x, g)], lambda x, l: [learner_linear(x, l)]
     layers = [AttentionBlock(8, reduction=4, spatial_kernel=3, rng=rng) for _ in range(learners)]
 
     def run(op):
-        def apply(x, blocks):
-            refined, maps = op(x, blocks)
+        def apply(x, block):
+            refined, maps = op(x, block)
             return [refined, maps.channel_map, maps.spatial_map]
         return apply
 
@@ -307,13 +307,14 @@ def _grouped_case(case, learners, rng):
         run(attention_apply), run(learner_attention)
 
 
-def _grouped_run(op, layers, data, upstreams):
-    """Outputs, input gradient and every parameter gradient of one run."""
+def _grouped_run(op, group, layers, data, upstreams):
+    """Outputs, input gradient and every layer's parameter gradient of one
+    run of ``op`` with ``group``."""
     params = [p for l in layers for p in l.parameters()]
     for p in params:
         p.grad = None
     x = var(data)
-    outs = op(x, layers)
+    outs = op(x, group)
     backward(_feed(outs, upstreams))
     return [o.data for o in outs], x.grad, [p.grad for p in params]
 
@@ -326,13 +327,17 @@ def test_grouped_op_is_bitwise_per_learner(case, learners):
     # a shared input sums the learners' gradients in learner order
     rng = np.random.default_rng(40 + learners)
     layers, data, shared, grouped, alone = _grouped_case(case, learners + 1, rng)
-    layers, extra = layers[:learners], layers
+    # the same learners and one more, drawn alike, in a group of their own
+    extra = _grouped_case(case, learners + 1, np.random.default_rng(40 + learners))[0]
+    layers = layers[:learners]
+    group, extra_group = stack_learners(layers), stack_learners(extra)
     stack_data = data if shared else data[:learners]
-    outs = grouped(Tensor(stack_data), layers)
+    outs = grouped(Tensor(stack_data), group)
     upstreams = [rng.normal(size=(learners + 1,) + o.data.shape[1:]) for o in outs]
-    got = _grouped_run(grouped, layers, stack_data, [u[:learners] for u in upstreams])
-    more = _grouped_run(grouped, extra, data, upstreams)
+    got = _grouped_run(grouped, group, layers, stack_data, [u[:learners] for u in upstreams])
+    more = _grouped_run(grouped, extra_group, extra, data, upstreams)
 
+    # the oracle runs each learner's own layer, whose tensors are rows of the group's blocks
     inputs = [var(data)] * learners if shared else [var(data[i]) for i in range(learners)]
     per_learner = [alone(x, l) for x, l in zip(inputs, layers)]
     for p in (p for l in layers for p in l.parameters()):
@@ -352,9 +357,9 @@ def test_grouped_op_is_bitwise_per_learner(case, learners):
     oracle = [p.grad for l in layers for p in l.parameters()]
     for a, b, c in zip(got[2], more[2], oracle):
         assert _bits(a) == _bits(c) and _bits(b) == _bits(c)
-    if learners == 1:  # one layer, no list: the same function without the learner axis
-        single = _grouped_run(lambda x, ls: grouped(x, ls[0]), layers,
-                              data if shared else data[0], [u[0] for u in upstreams])
+    if learners == 1:  # one layer, not a group: the same function without the learner axis
+        single = _grouped_run(grouped, layers[0], layers, data if shared else data[0],
+                              [u[0] for u in upstreams])
         for j, o in enumerate(per_learner[0]):
             assert _bits(single[0][j]) == _bits(o.data)
         assert _bits(single[1]) == _bits(inputs[0].grad)
@@ -366,11 +371,70 @@ def test_grouped_ops_reject_mismatched_learners():
     rng = np.random.default_rng(5)
     convs = [ConvLayer(2, 3, 3, rng=rng), ConvLayer(2, 3, 3, padding=1, rng=rng)]
     with pytest.raises(ShapeMismatch):
-        conv2d(Tensor(np.zeros((2, 2, 5, 5))), convs)  # one padding differs
+        stack_learners(convs)  # one padding differs
+    with pytest.raises(ShapeMismatch):  # 3 maps, 2 learners
+        conv2d(Tensor(np.zeros((3, 2, 2, 5, 5))),
+               stack_learners([ConvLayer(2, 3, 3, rng=rng) for _ in range(2)]))
     with pytest.raises(ShapeMismatch):
-        conv2d(Tensor(np.zeros((3, 2, 2, 5, 5))), convs[:1] * 2)  # 3 maps, 2 learners
-    dense = [DenseLayer(4, 2, rng=rng), DenseLayer(4, 3, rng=rng)]
+        stack_learners([DenseLayer(4, 2, rng=rng), DenseLayer(4, 3, rng=rng)])
+    with pytest.raises(ShapeMismatch):  # a group takes a stack of maps, not one map
+        attention_apply(Tensor(np.zeros((2, 4, 4, 4))),
+                        stack_learners([AttentionBlock(4, rng=rng) for _ in range(2)]))
+    # a refused learner leaves the group and itself as they were
+    attns = [AttentionBlock(4, spatial_kernel=k, rng=rng) for k in (3, 3, 5)]
+    group = stack_learners(attns[:2])
+    kept = [p.data for p in attns[2].parameters()]
     with pytest.raises(ShapeMismatch):
-        linear(Tensor(np.zeros((2, 3, 4))), dense)
-    with pytest.raises(ShapeMismatch):
-        attention_apply(Tensor(np.zeros((2, 4, 4, 4))), [AttentionBlock(4, rng=rng)] * 2)
+        add_learner(group, attns[2])
+    assert [p.data.shape[0] for p in group.parameters()] == [2] * 6
+    assert all(a is b for a, b in zip(kept, (p.data for p in attns[2].parameters())))
+
+
+def _masked_sigmoid(x):
+    """The two-branch masked form `sigmoid` replaced."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def _gathered_max(x, axes, keepdims):
+    """The argmax gather `reduce_max` replaced: the entry at the first argmax."""
+    keep = tuple(i for i in range(x.ndim) if i not in axes)
+    xt = x.transpose(keep + axes)
+    flat = xt.reshape(int(np.prod(xt.shape[:len(keep)])), -1)
+    vals = flat[np.arange(len(flat)), np.argmax(flat, axis=1)]
+    shape = tuple(1 if i in axes else x.shape[i] for i in range(x.ndim)) if keepdims \
+        else xt.shape[:len(keep)]
+    return vals.reshape(shape)
+
+
+def test_sigmoid_and_reduce_max_keep_the_bits_of_the_masked_forms():
+    rng = np.random.default_rng(14)
+    # an attended map: relu output times a sigmoid gate, so >= +0.0, with
+    # whole zero windows and repeated maxima, in the conv's channels-last layout
+    fmap = np.maximum(rng.normal(size=(3, 4, 5, 5, 8)), 0.0) * rng.uniform(size=(3, 4, 5, 5, 1))
+    fmap[0, 1] = 0.0
+    fmap[1, 2, 1:4, 1:4] = fmap[1, 2].max()
+    fmap[2, :, :, :, 3] = 0.5
+    fmap = fmap.transpose(0, 1, 4, 2, 3)
+    for axes, keepdims in (((3, 4), False), ((2,), True), ((0, 1, 2, 3, 4), False)):
+        got = reduce_max(Tensor(fmap), axis=axes, keepdims=keepdims).data
+        want = _gathered_max(fmap, axes, keepdims)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    # the subgradient still goes to the first maximum only
+    x = var(fmap)
+    backward(tsum(reduce_max(x, axis=(3, 4))))
+    first = np.argmax(fmap.reshape(3, 4, 8, 25), axis=3)
+    assert (x.grad.reshape(3, 4, 8, 25).sum(axis=3) == 1.0).all()
+    assert (np.take_along_axis(x.grad.reshape(3, 4, 8, 25), first[..., None], 3) == 1.0).all()
+
+    special = [-0.0, 0.0, 800.0, -800.0, 745.2, -745.2, 1e-300, -1e-300, np.inf, -np.inf,
+               np.nan, -np.nan]
+    logits = np.concatenate([special, 10.0 * rng.normal(size=3988)]).reshape(4, 1000)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _masked_sigmoid(logits)
+        got = sigmoid(Tensor(logits)).data
+    assert got.view(np.uint64).tobytes() == want.view(np.uint64).tobytes()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from divreg import autodiff, diversity, nn, training
 from divreg.autodiff import Tensor, backward, concat, relu
 from divreg.config import ExperimentConfig
 from divreg.data import Dataset, GeneratorConfig, batches, generate
@@ -56,6 +57,36 @@ def test_sgd_missing_grad_counts_as_zero():
     opt = SGD(0.5)
     opt.step([p])
     np.testing.assert_array_equal(p.data, [1.0, 2.0])
+
+
+class TensorSGD(SGD):
+    """The per-tensor update that `SGD` replaced, the reference for its
+    bytes: each learner's tensor its own velocity, a new one starting as
+    its first gradient."""
+
+    def step(self, params):
+        for p in params:
+            g = p.grad if p.grad is not None else np.zeros_like(p.data)
+            v = self.velocity.get(id(p))
+            v = g.copy() if v is None else self.momentum * v + g
+            self.velocity[id(p)] = v
+            p.data = p.data - self.learning_rate * v
+
+
+def test_block_updates_keep_the_per_tensor_bytes_across_branch_adds(monkeypatch):
+    # a block that grew by a branch's row updates the old rows with their
+    # velocity and starts the new row's from its gradient, as a new tensor did
+    data = tiny_dataset(24)
+    cfg = tiny_config(branch_max=3, branch_add_epochs=1, epochs=3, batch_size=8,
+                      diversity_weight=1.0)
+
+    def final_bytes(optimizer):
+        monkeypatch.setattr(training, "SGD", optimizer)
+        model = build_ensemble(4, branch_max=3, seed=1, input_size=8)
+        train(model, data, data, cfg)
+        return [p.data.tobytes() for p in model.parameters()]
+
+    assert final_bytes(SGD) == final_bytes(TensorSGD)
 
 
 def test_sgd_validation_and_zero_grad():
@@ -380,19 +411,33 @@ def record_ops(monkeypatch) -> list:
 
 
 def test_ensemble_step_tape_does_not_grow_with_branches(monkeypatch):
-    # each layer of all branches is one grouped op, so the nodes one step
-    # records stay flat in L (per-branch ops gave about 5x from L=3 to 15)
+    # each layer of all branches is one grouped op on parameter blocks, so
+    # the nodes one step records, the gradient writes of its backward and
+    # the updates of the optimizer stay flat in L (per-branch ops gave
+    # about 5x nodes from L=3 to 15, per-learner gradient splits about 4x
+    # writes)
     recorded = record_ops(monkeypatch)
+    writes = []
+    for module in (autodiff, diversity, nn):
+        real = module.accumulate
+        monkeypatch.setattr(module, "accumulate",
+                            lambda t, g, real=real: writes.append(1) or real(t, g))
     data = tiny_dataset(n=12, classes=3)
     cfg = tiny_config(class_count=3, branch_max=15, diversity_tap="all")
-    counts = {}
+    counts, updates = {}, {}
     for branches in (3, 15):
         model = build_ensemble(3, branch_max=15, seed=0, input_size=8,
                                initial_branches=branches)
         recorded.clear()
+        writes.clear()
         backward(_ensemble_step(model, data.images, data.labels, cfg)[0])
-        counts[branches] = len(recorded)
-    assert counts[15] <= 1.1 * counts[3], counts
+        counts[branches] = (len(recorded), len(writes))
+        opt = SGD(0.01, momentum=0.9)
+        opt.step(model.parameters())
+        updates[branches] = len(opt.velocity)
+    assert counts[15][0] <= 1.1 * counts[3][0], counts
+    assert counts[15][1] <= 1.1 * counts[3][1], counts
+    assert updates[15] == updates[3], updates
 
 
 def looped_dual_step(model, xb, yb, cfg):
