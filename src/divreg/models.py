@@ -7,10 +7,11 @@ channel-then-spatial attention block whose spatial kernel fits the conv's
 output (7, or 3 below 7 px); the blocks' maps are what the diversity
 terms compare. Ensemble branches are stage -> stage (stride 2) -> GAP ->
 dense and are added on a schedule by the trainer; adding one never
-perturbs existing weights.
+perturbs existing weights. The base and each branch are `nn.Module`s,
+whose `parameters()` follow build order, the checkpoint order.
 Each branch keeps its own layer objects, but their parameters live in
 learner-major blocks: `EnsembleModel.stacked` groups each layer of all L
-branches (`nn.stack_learners`), each parameter as one (L, ...) block of
+branches (`nn.add_learner`), each parameter as one (L, ...) block of
 which every branch's tensor is a row. The model runs each layer as one
 grouped op on those blocks, with (L, N, ...) results, and each branch's
 slice has the bits it would have alone, so adding a branch (one new row
@@ -36,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import ShapeMismatch, Tensor, concat, relu, reshape
-from .nn import (AttentionBlock, AttentionMaps, ConvLayer, DenseLayer, add_learner,
+from .nn import (AttentionBlock, AttentionMaps, ConvLayer, DenseLayer, Module, add_learner,
                  attention_apply, conv2d, global_avg_pool, linear, stack_learners)
 
 CHECKPOINT_MAGIC = b"DVRG"
@@ -78,15 +79,6 @@ def _stream(*key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(list(key)))
 
 
-def _parameters(*layers) -> list[Tensor]:
-    """The layers' tensors in order, skipping switched-off (None) attention."""
-    out = []
-    for layer in layers:
-        if layer is not None:
-            out.extend(layer.parameters())
-    return out
-
-
 def _attended_conv(in_channels: int, in_size: int, stride: int, attention: bool,
                    rng) -> tuple[ConvLayer, AttentionBlock | None]:
     """One stage's conv and, when attention is on, its block; both draw
@@ -98,7 +90,7 @@ def _attended_conv(in_channels: int, in_size: int, stride: int, attention: bool,
     return conv, attn
 
 
-class SharedBase:
+class SharedBase(Module):
     """Two stride-2 convs with relu; quarters the input resolution."""
 
     def __init__(self, in_channels: int, input_size: int, rng):
@@ -113,11 +105,8 @@ class SharedBase:
         h = relu(conv2d(x, self.conv1))
         return relu(conv2d(h, self.conv2))
 
-    def parameters(self) -> list[Tensor]:
-        return _parameters(self.conv1, self.conv2)
 
-
-class EnsembleBranch:
+class EnsembleBranch(Module):
     """One classifier's layers: two attended conv stages, then GAP and a
     dense layer. `EnsembleModel` runs every branch's layers of a stage
     together."""
@@ -126,9 +115,6 @@ class EnsembleBranch:
         self.conv1, self.attn1 = _attended_conv(in_channels, in_size, 1, attention, rng)
         self.conv2, self.attn2 = _attended_conv(BRANCH_CHANNELS, in_size, 2, attention, rng)
         self.head = DenseLayer(BRANCH_CHANNELS, class_count, rng=rng, gain="linear")
-
-    def parameters(self) -> list[Tensor]:
-        return _parameters(self.conv1, self.attn1, self.conv2, self.attn2, self.head)
 
 
 @dataclass
@@ -167,10 +153,7 @@ class EnsembleModel:
                  for i in learners])
 
     def parameters(self) -> list[Tensor]:
-        out = self.base.parameters()
-        for branch in self.branches:
-            out += branch.parameters()
-        return out
+        return [p for part in (self.base, *self.branches) for p in part.parameters()]
 
 
 def add_branch(model: EnsembleModel) -> EnsembleModel:
@@ -209,15 +192,13 @@ def build_ensemble(class_count: int, branch_max: int = 3, attention_enabled: boo
     return model
 
 
-def ensemble_predict(logits_list) -> np.ndarray:
-    """Majority vote over branch argmaxes of L (N,K) logits (a list of
-    arrays or Tensors, or an (L,N,K) stack); ties broken by the largest
-    summed softmax over the tied classes, then by lowest class index."""
-    if len(logits_list) == 0:
+def ensemble_predict(logits: np.ndarray) -> np.ndarray:
+    """Majority vote over branch argmaxes of the (L,N,K) logits stack;
+    ties broken by the largest summed softmax over the tied classes, then
+    by lowest class index."""
+    if len(logits) == 0:
         raise ValueError("need at least one branch's logits")
-    if not isinstance(logits_list, np.ndarray):
-        logits_list = np.stack([lg.data if isinstance(lg, Tensor) else lg for lg in logits_list])
-    probs = softmax_probs(logits_list)  # (B,N,K)
+    probs = softmax_probs(logits)  # (L,N,K)
     k = probs.shape[2]
     counts = (probs.argmax(axis=2)[:, :, None] == np.arange(k)).sum(axis=0)  # (N,K)
     tied = counts == counts.max(axis=1, keepdims=True)
@@ -320,8 +301,9 @@ class DualBranchModel:
 
     def parameters(self) -> list[Tensor]:
         local = [layer for pair in zip(self.local_convs, self.local_attns) for layer in pair]
-        return _parameters(self.backbone, self.global_conv, self.global_attn, *local,
-                           self.local_head, self.global_head)
+        return [p for part in (self.backbone, self.global_conv, self.global_attn, *local,
+                               self.local_head, self.global_head)
+                if part is not None for p in part.parameters()]
 
 
 def build_dual_branch(class_count: int, attention_enabled: bool = True, seed: int = 0,

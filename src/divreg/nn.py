@@ -4,7 +4,9 @@ Convolution, affine layers, max reduction, the masked broadcast multiply
 used for attention gating, stable softmax cross-entropy, and the
 channel/spatial attention block whose maps feed the diversity machinery.
 Every primitive takes batched input only: (N,C,H,W) feature maps and
-(N,K) logits; any other rank raises ``ShapeMismatch``.
+(N,K) logits; any other rank raises ``ShapeMismatch``. Every layer is a
+`Module`: one walk over its attributes gives its `parameters()` and
+builds its learner groups (`add_learner`).
 
 The learner axis: `conv2d`, `linear` and `attention_apply` also take a
 group of L learners' layers of one shape (`stack_learners`), the
@@ -32,11 +34,31 @@ import numpy as np
 from .autodiff import Row, ShapeMismatch, Tensor, accumulate, concat, relu, reshape, sigmoid, tmean
 
 
-class ConvLayer:
+class Module:
+    """A layer whose tensors and sub-layers are its attributes: `parameters()`
+    lists the tensors in the order the constructor assigned them (the order
+    they were drawn in); a switched-off (None) sub-layer holds none."""
+
+    def parameters(self) -> list[Tensor]:
+        return [t for _, _, t in _walk(self)]
+
+
+def _walk(layer) -> list:
+    """(owner, attribute name, tensor) of each tensor in ``layer``, in order."""
+    out = []
+    for name, part in vars(layer).items():
+        if isinstance(part, Tensor):
+            out.append((layer, name, part))
+        elif isinstance(part, Module):
+            out += _walk(part)
+    return out
+
+
+class ConvLayer(Module):
     """2-D convolution weights (cross-correlation). Kernel must be odd."""
 
     def __init__(self, in_channels: int, out_channels: int, kernel: int,
-                 stride: int = 1, padding: int = 0, rng: np.random.Generator | None = None):
+                 stride: int = 1, padding: int = 0, *, rng: np.random.Generator):
         if kernel < 1 or kernel % 2 == 0:
             raise ValueError(f"conv kernel must be odd and positive, got {kernel}")
         if stride < 1 or padding < 0:
@@ -46,11 +68,8 @@ class ConvLayer:
         self.kernel = kernel
         self.stride = stride
         self.padding = padding
-        if rng is None:
-            w = np.zeros((out_channels, in_channels, kernel, kernel))
-        else:
-            fan_in = in_channels * kernel * kernel
-            w = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(out_channels, in_channels, kernel, kernel))
+        fan_in = in_channels * kernel * kernel
+        w = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(out_channels, in_channels, kernel, kernel))
         self.weights = Tensor(w, requires_grad=True)
         self.bias = Tensor(np.zeros(out_channels), requires_grad=True)
 
@@ -62,16 +81,23 @@ class ConvLayer:
                              f"leaves no output for input {h}x{w}")
         return oh, ow
 
-    def parameters(self) -> list[Tensor]:
-        return [self.weights, self.bias]
-
 
 def _layout(layer, lead: int) -> list:
     """Each attribute of ``layer``: a tensor's shape past its first ``lead``
     axes, a sub-layer's layout, anything else (kernel, stride, ...) as is."""
     return [(name, part.data.shape[lead:] if isinstance(part, Tensor)
-             else _layout(part, lead) if hasattr(part, "parameters") else part)
+             else _layout(part, lead) if isinstance(part, Module) else part)
             for name, part in vars(layer).items()]
+
+
+def _empty_group(layer):
+    """A layer of ``layer``'s kind and settings with empty (0, ...) blocks."""
+    group = object.__new__(type(layer))
+    for name, part in vars(layer).items():
+        setattr(group, name, Tensor(np.empty((0,) + part.data.shape), requires_grad=True)
+                if isinstance(part, Tensor)
+                else _empty_group(part) if isinstance(part, Module) else part)
+    return group
 
 
 def add_learner(group, layer):
@@ -79,36 +105,20 @@ def add_learner(group, layer):
 
     A group is a layer of ``layer``'s kind whose tensors are blocks: L
     learners' parameters of one shape on a leading (L, ...) axis, which
-    the grouped ops read whole. ``None`` starts a group of one. The
-    layer's values are copied into a new row of each block, and each of
-    its tensors becomes that `Row`, so the layer keeps working alone.
-    Sub-layers (an attention block's) are grouped alike. A layer whose
-    shapes or settings differ from the group's raises ``ShapeMismatch``
-    and changes nothing.
+    the grouped ops read whole; ``None`` starts an empty one. Each tensor
+    of the layer and of its sub-layers is copied into a new row of its
+    block and becomes that `Row`, so the layer keeps working alone. A
+    layer whose shapes or settings differ from the group's raises
+    ``ShapeMismatch`` and changes nothing.
     """
-    if group is not None and _layout(group, 1) != _layout(layer, 0):
+    if group is None:
+        group = _empty_group(layer)
+    elif _layout(group, 1) != _layout(layer, 0):
         raise ShapeMismatch("add_learner", _layout(group, 1), _layout(layer, 0))
-    return _join(group, layer)
-
-
-def _join(group, layer):
-    """`add_learner` past its check."""
-    fresh = group is None
-    if fresh:
-        group = object.__new__(type(layer))
-        vars(group).update(vars(layer))
-    for name, part in list(vars(layer).items()):
-        if isinstance(part, Tensor):
-            if fresh:
-                block = Tensor(part.data[None], requires_grad=True)
-                setattr(group, name, block)
-            else:
-                block = getattr(group, name)
-                block.data = np.concatenate([block.data, part.data[None]])
-                block.grad = None
-            setattr(layer, name, Row(block, len(block.data) - 1))
-        elif hasattr(part, "parameters"):
-            setattr(group, name, _join(None if fresh else getattr(group, name), part))
+    for (_, _, block), (owner, name, part) in zip(_walk(group), _walk(layer)):
+        block.data = np.concatenate([block.data, part.data[None]])
+        block.grad = None
+        setattr(owner, name, Row(block, len(block.data) - 1))
     return group
 
 
@@ -195,21 +205,15 @@ def conv2d(x: Tensor, layer: ConvLayer) -> Tensor:
                           "conv2d")
 
 
-class DenseLayer:
+class DenseLayer(Module):
     """Affine map (in_features -> out_features) acting on (N, in) batches."""
 
-    def __init__(self, in_features: int, out_features: int,
-                 rng: np.random.Generator | None = None, gain: str = "relu"):
-        if rng is None:
-            w = np.zeros((in_features, out_features))
-        else:
-            scale = np.sqrt((2.0 if gain == "relu" else 1.0) / in_features)
-            w = rng.normal(0.0, scale, size=(in_features, out_features))
+    def __init__(self, in_features: int, out_features: int, rng: np.random.Generator,
+                 gain: str = "relu"):
+        scale = np.sqrt((2.0 if gain == "relu" else 1.0) / in_features)
+        w = rng.normal(0.0, scale, size=(in_features, out_features))
         self.weights = Tensor(w, requires_grad=True)
         self.bias = Tensor(np.zeros(out_features), requires_grad=True)
-
-    def parameters(self) -> list[Tensor]:
-        return [self.weights, self.bias]
 
 
 def linear(x: Tensor, layer: DenseLayer) -> Tensor:
@@ -332,12 +336,12 @@ class AttentionMaps:
     spatial_map: Tensor
 
 
-class AttentionBlock:
+class AttentionBlock(Module):
     """CBAM-style block: shared two-layer MLP over avg/max channel
     descriptors, then a small conv over stacked avg/max spatial maps."""
 
-    def __init__(self, channels: int, reduction: int = 4, spatial_kernel: int = 7,
-                 rng: np.random.Generator | None = None):
+    def __init__(self, channels: int, reduction: int = 4, spatial_kernel: int = 7, *,
+                 rng: np.random.Generator):
         if channels % reduction != 0:
             raise ValueError(f"attention: channels {channels} not divisible by reduction {reduction}")
         self.channels = channels
@@ -346,9 +350,6 @@ class AttentionBlock:
         self.fc2 = DenseLayer(channels // reduction, channels, rng, gain="linear")
         self.spatial_conv = ConvLayer(2, 1, spatial_kernel, stride=1,
                                       padding=(spatial_kernel - 1) // 2, rng=rng)
-
-    def parameters(self) -> list[Tensor]:
-        return self.fc1.parameters() + self.fc2.parameters() + self.spatial_conv.parameters()
 
 
 def attention_apply(feature: Tensor, block: AttentionBlock) -> tuple[Tensor, AttentionMaps]:

@@ -11,9 +11,10 @@ The ensemble step runs all branches on one learner axis
 the (L, N, K) logits, and each D reads the (L, N, ...) attention-map
 stacks directly, so a step records the same number of tape nodes at any
 branch count; the dual step pools its (4, N, ...) patch-path stack once per D.
-The branches' parameters are (L, ...) blocks (see `nn.add_learner`), so the
-backward writes one gradient per block and `SGD` updates each block at once:
-neither grows with the branch count.
+The branches' parameters are (L, ...) blocks (see `nn.add_learner`): the
+backward writes one gradient per block and `SGD` updates each block at once,
+so neither grows with the branch count. `train` lists `model.parameters()`
+once per epoch, after any branch add, not twice per step.
 
 Subtracting diversity rewards dissimilar learners. Each loss takes
 DiversityScores and returns the scalar loss tensor plus a LossBreakdown
@@ -92,7 +93,7 @@ class SGD:
             raise ValueError(f"momentum must be in [0, 1), got {momentum}")
         self.learning_rate = learning_rate
         self.momentum = momentum
-        self.velocity: dict[int, np.ndarray] = {}
+        self.velocity: dict[Tensor, np.ndarray] = {}  # keyed by the tensor: an id can be reused
 
     def zero_grad(self, params):
         for t in _storage(params):
@@ -101,14 +102,14 @@ class SGD:
     def step(self, params):
         for t in _storage(params):
             g = t.grad if t.grad is not None else np.zeros_like(t.data)
-            v = self.velocity.get(id(t))
+            v = self.velocity.get(t)
             if v is None:
                 v = g.copy()
             elif v.shape != g.shape:  # a block that grew since the last step
                 v = np.concatenate([self.momentum * v + g[:len(v)], g[len(v):]])
             else:
                 v = self.momentum * v + g
-            self.velocity[id(t)] = v
+            self.velocity[t] = v
             t.data = t.data - self.learning_rate * v
 
 
@@ -346,6 +347,7 @@ def train(model, train_set, test_set, config) -> TrainResult:
         if (is_ensemble and epoch > 0 and epoch % config.branch_add_epochs == 0
                 and len(model.branches) < model.branch_max):
             add_checks.append(_checked_add(model, train_set.images[:8], epoch))
+        params = model.parameters()
         sums = {"total": [], "cls": [], "d_sp": [], "d_ch": [], "d_b": []}
         shuffle_seed = np.random.SeedSequence([config.seed, 17, epoch])
         for b_idx, (xb, yb) in enumerate(batches(train_set, config.batch_size,
@@ -361,9 +363,9 @@ def train(model, train_set, test_set, config) -> TrainResult:
             sums["d_sp"].append(bd.d_sp)
             sums["d_ch"].append(bd.d_ch)
             sums["d_b"].append(bd.d_branch)
-            opt.zero_grad(model.parameters())
+            opt.zero_grad(params)
             backward(loss)
-            opt.step(model.parameters())
+            opt.step(params)
         records.append(EpochRecord(
             epoch=epoch + 1,
             branch_count=len(model.branches) if is_ensemble else 2,

@@ -132,14 +132,14 @@ def test_ensemble_predict_majority_vote():
     l1 = np.array([[0.0, 0.0, 5.0]])
     l2 = np.array([[0.2, 0.0, 4.0]])
     l3 = np.array([[9.0, 0.0, 0.0]])
-    np.testing.assert_array_equal(ensemble_predict([l1, l2, l3]), [2])
+    np.testing.assert_array_equal(ensemble_predict(np.stack([l1, l2, l3])), [2])
 
 
 def test_ensemble_predict_tie_uses_summed_softmax():
     # one vote each; summed softmax favors class 1
     l1 = np.array([[3.0, 2.9, 0.0]])
     l2 = np.array([[0.0, 5.0, 0.0]])
-    picked = ensemble_predict([l1, l2])
+    picked = ensemble_predict(np.stack([l1, l2]))
     summed = softmax_probs(l1) + softmax_probs(l2)
     assert picked[0] == summed[0].argmax() == 1
 
@@ -147,7 +147,7 @@ def test_ensemble_predict_tie_uses_summed_softmax():
 def test_ensemble_predict_full_tie_picks_lowest_class():
     l1 = np.array([[1.0, 0.0]])
     l2 = np.array([[0.0, 1.0]])
-    np.testing.assert_array_equal(ensemble_predict([l1, l2]), [0])
+    np.testing.assert_array_equal(ensemble_predict(np.stack([l1, l2])), [0])
 
 
 def test_ensemble_predict_matches_per_image_vote():
@@ -166,7 +166,7 @@ def test_ensemble_predict_matches_per_image_vote():
         b, k = rng.integers(1, 16), rng.integers(2, 9)
         # logits on a coarse grid: tied votes and tied summed softmax are common
         logits = [rng.integers(0, 3, size=(6, k)).astype(np.float64) for _ in range(b)]
-        np.testing.assert_array_equal(ensemble_predict(logits), per_image(logits))
+        np.testing.assert_array_equal(ensemble_predict(np.stack(logits)), per_image(logits))
 
 
 def test_softmax_probs_rows_normalized():

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from divreg.autodiff import ShapeMismatch, Tensor, accumulate, backward, sigmoid
-from divreg.nn import (AttentionBlock, ConvLayer, DenseLayer, add_learner, attention_apply,
-                       broadcast_mul, conv2d, global_avg_pool, linear,
+from divreg.nn import (AttentionBlock, ConvLayer, DenseLayer, Module, add_learner,
+                       attention_apply, broadcast_mul, conv2d, global_avg_pool, linear,
                        reduce_max, softmax_cross_entropy, stack_learners)
 from tape_oracle import learner_attention, learner_conv2d, learner_linear, tsum
 
@@ -33,16 +33,17 @@ def conv_oracle(x, w, b, stride, padding):
 
 
 def test_conv_layer_validation():
+    rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        ConvLayer(1, 1, 2)
+        ConvLayer(1, 1, 2, rng=rng)
     with pytest.raises(ValueError):
-        ConvLayer(1, 1, 0)
+        ConvLayer(1, 1, 0, rng=rng)
     with pytest.raises(ValueError):
-        ConvLayer(1, 1, 3, stride=0)
+        ConvLayer(1, 1, 3, stride=0, rng=rng)
     with pytest.raises(ValueError):
-        ConvLayer(1, 1, 3, padding=-1)
+        ConvLayer(1, 1, 3, padding=-1, rng=rng)
     with pytest.raises(ValueError):
-        ConvLayer(1, 1, 5).out_size(3, 3)
+        ConvLayer(1, 1, 5, rng=rng).out_size(3, 3)
 
 
 def test_conv_layer_init_shapes():
@@ -67,14 +68,14 @@ def test_conv2d_matches_loop_oracle(stride, padding):
 
 
 def test_conv2d_one_by_one_identity_kernel():
-    layer = ConvLayer(2, 2, 1)
+    layer = ConvLayer(2, 2, 1, rng=np.random.default_rng(0))
     layer.weights.data = np.eye(2).reshape(2, 2, 1, 1)
     x = np.random.default_rng(4).normal(size=(1, 2, 4, 4))
     np.testing.assert_array_equal(conv2d(Tensor(x), layer).data, x)
 
 
 def test_conv2d_rejects_wrong_channels():
-    layer = ConvLayer(3, 4, 3)
+    layer = ConvLayer(3, 4, 3, rng=np.random.default_rng(0))
     with pytest.raises(ShapeMismatch):
         conv2d(Tensor(np.zeros((1, 2, 5, 5))), layer)
     for shape in ((5, 5), (3, 5, 5)):  # batched input only
@@ -122,7 +123,7 @@ def test_linear_matches_numpy():
 
 
 def test_linear_grads_algebraic():
-    layer = DenseLayer(2, 2)
+    layer = DenseLayer(2, 2, rng=np.random.default_rng(0))
     layer.weights.data = np.array([[1.0, 2.0], [3.0, 4.0]])
     x = var(np.array([[1.0, 1.0]]))
     backward(tsum(linear(x, layer)))
@@ -233,12 +234,38 @@ def test_global_avg_pool_shapes():
 
 def test_attention_block_validation_and_params():
     with pytest.raises(ValueError):
-        AttentionBlock(6, reduction=4)
+        AttentionBlock(6, reduction=4, rng=np.random.default_rng(0))
     block = AttentionBlock(8, reduction=4, spatial_kernel=3, rng=np.random.default_rng(0))
     assert len(block.parameters()) == 6
     assert block.fc1.weights.data.shape == (8, 2)
     assert block.fc2.weights.data.shape == (2, 8)
     assert block.spatial_conv.weights.data.shape == (1, 2, 3, 3)
+
+
+def test_module_parameters_follow_assignment_order_and_skip_switched_off_layers():
+    rng = np.random.default_rng(0)
+
+    class Stage(Module):
+        def __init__(self, attention):
+            self.head = DenseLayer(4, 2, rng=rng)
+            self.width = 4
+            self.attn = AttentionBlock(4, spatial_kernel=3, rng=rng) if attention else None
+            self.scale = Tensor(1.0, requires_grad=True)
+            self.conv = ConvLayer(2, 4, 3, rng=rng)
+
+    on, off = Stage(True), Stage(False)
+    a = on.attn
+    want = [on.head.weights, on.head.bias, a.fc1.weights, a.fc1.bias, a.fc2.weights,
+            a.fc2.bias, a.spatial_conv.weights, a.spatial_conv.bias, on.scale,
+            on.conv.weights, on.conv.bias]
+    assert [id(t) for t in on.parameters()] == [id(t) for t in want]
+    want = [off.head.weights, off.head.bias, off.scale, off.conv.weights, off.conv.bias]
+    assert [id(t) for t in off.parameters()] == [id(t) for t in want]
+    # grouping swaps each tensor for a row of its block and keeps the walk's order
+    group = stack_learners([on, Stage(True)])
+    assert [p.data.shape[1:] for p in group.parameters()] == \
+        [p.data.shape for p in on.parameters()]
+    assert all(p.block is b for p, b in zip(on.parameters(), group.parameters()))
 
 
 def test_attention_apply_shapes_and_ranges():
@@ -254,7 +281,7 @@ def test_attention_apply_shapes_and_ranges():
 
 
 def test_attention_apply_rejects_channel_mismatch():
-    block = AttentionBlock(4, reduction=2, spatial_kernel=3)
+    block = AttentionBlock(4, reduction=2, spatial_kernel=3, rng=np.random.default_rng(0))
     with pytest.raises(ShapeMismatch):
         attention_apply(Tensor(np.zeros((2, 3, 5, 5))), block)
     with pytest.raises(ShapeMismatch):  # batched input only

@@ -9,8 +9,8 @@ from divreg.config import ExperimentConfig
 from divreg.data import Dataset, GeneratorConfig, batches, generate
 from divreg.diversity import (DiversityScore, channel_pool, diversity_of_pooled,
                               measure_diversity, spatial_pool)
-from divreg.models import (EnsembleModel, build_dual_branch, build_ensemble, dual_predict,
-                           ensemble_predict)
+from divreg.models import (DualBranchModel, EnsembleModel, build_dual_branch, build_ensemble,
+                           dual_predict, ensemble_predict)
 from divreg.nn import (attention_apply, conv2d, global_avg_pool, linear,
                        softmax_cross_entropy)
 from divreg.training import (SGD, EpochRecord, LossBreakdown, NonFiniteLossError,
@@ -45,11 +45,25 @@ def test_sgd_frozen_first_step():
     opt = SGD(0.1, momentum=0.9)
     opt.step([p])
     assert float(p.data) == 0.95
-    np.testing.assert_array_equal(opt.velocity[id(p)], 0.5)
+    np.testing.assert_array_equal(opt.velocity[p], 0.5)
     # second identical gradient: v=0.9*0.5+0.5=0.95, theta=0.95-0.095
     p.grad = np.asarray(0.5)
     opt.step([p])
     np.testing.assert_allclose(float(p.data), 0.855, rtol=1e-15)
+
+
+def test_sgd_velocity_stays_with_its_tensor():
+    # a new tensor at a freed tensor's address must not inherit its velocity
+    opt = SGD(0.1, momentum=0.9)
+    for _ in range(20):
+        moved = Tensor(np.ones(3), requires_grad=True)
+        moved.grad = np.ones(3)
+        opt.step([moved])
+        del moved
+        still = Tensor(np.ones(3), requires_grad=True)
+        still.grad = np.zeros(3)
+        opt.step([still])
+        np.testing.assert_array_equal(still.data, np.ones(3))
 
 
 def test_sgd_missing_grad_counts_as_zero():
@@ -67,9 +81,9 @@ class TensorSGD(SGD):
     def step(self, params):
         for p in params:
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            v = self.velocity.get(id(p))
+            v = self.velocity.get(p)
             v = g.copy() if v is None else self.momentum * v + g
-            self.velocity[id(p)] = v
+            self.velocity[p] = v
             p.data = p.data - self.learning_rate * v
 
 
@@ -87,6 +101,25 @@ def test_block_updates_keep_the_per_tensor_bytes_across_branch_adds(monkeypatch)
         return [p.data.tobytes() for p in model.parameters()]
 
     assert final_bytes(SGD) == final_bytes(TensorSGD)
+
+
+@pytest.mark.parametrize("family", ["ensemble", "dual_branch"])
+def test_train_lists_the_parameters_once_per_epoch_after_any_add(family, monkeypatch):
+    model_class = EnsembleModel if family == "ensemble" else DualBranchModel
+    listed, real = [], model_class.parameters
+
+    def counted(self):
+        listed.append(len(self.branches) if family == "ensemble" else None)
+        return real(self)
+
+    monkeypatch.setattr(model_class, "parameters", counted)
+    data = tiny_dataset(24)  # three batches an epoch
+    cfg = tiny_config(model_family=family, branch_max=3, branch_add_epochs=1, epochs=3,
+                      batch_size=8)
+    model = (build_ensemble(4, branch_max=3, seed=0, input_size=8) if family == "ensemble"
+             else build_dual_branch(4, seed=0, input_size=8))
+    train(model, data, data, cfg)
+    assert listed == ([1, 2, 3] if family == "ensemble" else [None] * 3)
 
 
 def test_sgd_validation_and_zero_grad():
@@ -325,7 +358,7 @@ def taped_report(model, dataset, batch_size):
     for xb, _ in batches(dataset, min(batch_size, len(dataset)), shuffle_seed=None):
         if isinstance(model, EnsembleModel):
             logits = model.forward(Tensor(xb))[0]
-            preds.append(ensemble_predict(logits))
+            preds.append(ensemble_predict(np.stack([lg.data for lg in logits])))
         else:
             res = model.forward(Tensor(xb))
             logits = [res.local_logits, res.global_logits]
