@@ -3,7 +3,9 @@
 Every command is deterministic given (config, seed); metric CSVs are
 byte-identical across re-runs. Exit statuses: 0 success, 2 for config
 or validation problems, 3 for a non-finite loss abort, 4 when gradient
-verification fails.
+verification fails. Each output file is written whole (`data.write_atomic`):
+a run that stops part-way leaves the previous file in place. The one
+exception is `ablation.csv`, which gains a row as each cell finishes.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .config import ConfigError, ExperimentConfig
-from .data import DatasetFormatError, GeneratorConfig, generate, load_dataset, save_dataset
+from .data import (DatasetFormatError, GeneratorConfig, generate, load_dataset, save_dataset,
+                   write_atomic)
 from .gradcheck import report_json, report_text, run_suite
 from .models import (CheckpointFormatError, EnsembleModel, build_dual_branch, build_ensemble,
                      load_checkpoint, save_checkpoint)
@@ -47,7 +50,7 @@ def _load_json(path) -> dict:
 
 
 def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    write_atomic(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _sha256(path: Path) -> str:
@@ -68,7 +71,7 @@ def _write_metrics(path: Path, records) -> None:
     lines = [",".join(_METRIC_COLUMNS)]
     for r in records:
         lines.append(",".join(_fmt(getattr(r, c)) for c in _METRIC_COLUMNS))
-    path.write_text("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def _load_nonempty(path: Path, field_name: str):
@@ -244,7 +247,7 @@ def cmd_ablate(args) -> int:
 
     csv_path = out / "ablation.csv"
     rows = []
-    with csv_path.open("w") as fh:
+    with csv_path.open("w") as fh:  # streamed: each finished cell's row is on disk at once
         fh.write(",".join(_ABLATION_COLUMNS) + "\n")
         fh.flush()
         for name, attention, d_sp, d_ch in _ABLATION_CELLS:
@@ -286,7 +289,7 @@ def cmd_ablate(args) -> int:
             f"{'on' if row['diversity_channel'] else 'off':>5s} "
             f"{row['final_test_acc']:>9.4f} "
             f"{cell_num(row['final_d_sp']):>10s} {cell_num(row['final_d_ch']):>10s}")
-    (out / "ablation.txt").write_text("\n".join(lines) + "\n")
+    write_atomic(out / "ablation.txt", "\n".join(lines) + "\n")
     _say(args.quiet, f"ablation table in {csv_path}")
     return 0
 
@@ -297,7 +300,7 @@ def cmd_gradcheck(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "gradcheck.json", report_json(results))
     text = report_text(results)
-    (out / "gradcheck.txt").write_text(text)
+    write_atomic(out / "gradcheck.txt", text)
     _say(args.quiet, text.rstrip())
     failing = [r.name for r in results if not r.passed]
     if failing:

@@ -10,10 +10,13 @@ quantized through float32 at generation so the in-memory dataset and the
 File format, magic "DVDS": header (magic, version, class count, sample
 count, height, width; u32 little-endian), then labels as u32, then
 images as float32, both little-endian. Round trips are bit exact.
+
+Every output file of the package is written by `write_atomic`.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -156,6 +159,22 @@ def nearest_template(images: np.ndarray, class_count: int) -> np.ndarray:
     return d2.argmin(axis=1)
 
 
+def write_atomic(path, data) -> None:
+    """Write ``data`` (bytes, or text as UTF-8) to ``path``: into a temp file
+    in the same directory, then moved over ``path`` with `os.replace`. So
+    ``path`` holds its old bytes or all of the new ones, and a write that
+    fails part-way leaves the old file and no temp file."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(data.encode() if isinstance(data, str) else data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_dataset(dataset: Dataset, path) -> None:
     n = len(dataset)
     _, h, w = dataset.image_shape
@@ -163,7 +182,7 @@ def save_dataset(dataset: Dataset, path) -> None:
                           dataset.class_count, n, h, w)]
     chunks.append(dataset.labels.astype("<u4").tobytes())
     chunks.append(dataset.images.astype("<f4").tobytes())
-    Path(path).write_bytes(b"".join(chunks))
+    write_atomic(path, b"".join(chunks))
 
 
 def load_dataset(path) -> Dataset:

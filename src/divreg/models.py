@@ -37,6 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import ShapeMismatch, Tensor, concat, relu, reshape
+from .data import write_atomic
 from .nn import (AttentionBlock, AttentionMaps, ConvLayer, DenseLayer, Module, add_learner,
                  attention_apply, conv2d, global_avg_pool, linear, stack_learners)
 
@@ -337,7 +338,7 @@ def save_checkpoint(model, path) -> None:
         chunks.append(struct.pack(f"<I{p.data.ndim}I", p.data.ndim, *p.data.shape))
     for p in params:
         chunks.append(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
-    Path(path).write_bytes(b"".join(chunks))
+    write_atomic(path, b"".join(chunks))
 
 
 def load_checkpoint(path):

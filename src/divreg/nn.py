@@ -90,13 +90,18 @@ def _layout(layer, lead: int) -> list:
             for name, part in vars(layer).items()]
 
 
-def _empty_group(layer):
-    """A layer of ``layer``'s kind and settings with empty (0, ...) blocks."""
+def _new_group(layer):
+    """The group of ``layer`` alone: each of its tensors is copied into a
+    (1, ...) block and becomes row 0 of it."""
     group = object.__new__(type(layer))
     for name, part in vars(layer).items():
-        setattr(group, name, Tensor(np.empty((0,) + part.data.shape), requires_grad=True)
-                if isinstance(part, Tensor)
-                else _empty_group(part) if isinstance(part, Module) else part)
+        if isinstance(part, Tensor):
+            block = Tensor(part.data[None].copy(), requires_grad=True)
+            setattr(layer, name, Row(block, 0))
+            part = block
+        elif isinstance(part, Module):
+            part = _new_group(part)
+        setattr(group, name, part)
     return group
 
 
@@ -105,15 +110,15 @@ def add_learner(group, layer):
 
     A group is a layer of ``layer``'s kind whose tensors are blocks: L
     learners' parameters of one shape on a leading (L, ...) axis, which
-    the grouped ops read whole; ``None`` starts an empty one. Each tensor
+    the grouped ops read whole; ``None`` starts a new one. Each tensor
     of the layer and of its sub-layers is copied into a new row of its
     block and becomes that `Row`, so the layer keeps working alone. A
     layer whose shapes or settings differ from the group's raises
     ``ShapeMismatch`` and changes nothing.
     """
     if group is None:
-        group = _empty_group(layer)
-    elif _layout(group, 1) != _layout(layer, 0):
+        return _new_group(layer)
+    if _layout(group, 1) != _layout(layer, 0):
         raise ShapeMismatch("add_learner", _layout(group, 1), _layout(layer, 0))
     for (_, _, block), (owner, name, part) in zip(_walk(group), _walk(layer)):
         block.data = np.concatenate([block.data, part.data[None]])

@@ -26,13 +26,16 @@ the same tape route, and logged.
 The ensemble grows on a schedule: at the start of epoch e (0-based), a
 branch is added when e > 0, e is a multiple of the add interval, and the
 cap is not reached. Every add runs a probe forward to confirm existing
-branch outputs are bit-identical before and after. Inference (the probe,
-the accuracy passes, `evaluate`) runs under `no_grad` and records no tape.
+branch outputs are bit-identical before and after. An epoch's `train_acc`
+counts the hits of each step's own predictions (the vote or the mix of
+the logits the step computes), each taken before its update; `test_acc`
+is one held-out pass after the epoch. Inference (the probe, the held-out
+pass, `evaluate`) runs under `no_grad` and records no tape.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -68,6 +71,8 @@ class LossBreakdown:
     d_ch: float | None
     d_branch: float | None
     total: float
+    # the step's combined predictions (vote or mix), not a loss term
+    predictions: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def finite(self) -> bool:
         vals = [self.total, self.classification, self.d_sp, self.d_ch, self.d_branch]
@@ -243,8 +248,10 @@ def _ensemble_step(model: EnsembleModel, xb, yb, cfg):
     logits, maps = model.stacked_forward(Tensor(xb))
     scores = {k: _mean_score(layers, k, cfg)
               for k, layers in _ensemble_learners(maps, cfg).items()}
-    return esr_loss(softmax_cross_entropy(logits, yb), scores.get("channel"),
-                    scores.get("spatial"), cfg.diversity_weight)
+    loss, bd = esr_loss(softmax_cross_entropy(logits, yb), scores.get("channel"),
+                        scores.get("spatial"), cfg.diversity_weight)
+    bd.predictions = ensemble_predict(logits.data)
+    return loss, bd
 
 
 def _dual_step(model: DualBranchModel, xb, yb, cfg):
@@ -252,8 +259,10 @@ def _dual_step(model: DualBranchModel, xb, yb, cfg):
     l_local = softmax_cross_entropy(res.local_logits, yb)
     l_global = softmax_cross_entropy(res.global_logits, yb)
     scores = {k: _mean_score(layers, k, cfg) for k, layers in _dual_learners(res, cfg).items()}
-    return manet_loss(l_local, l_global, scores.get("branch"), scores.get("spatial"),
-                      scores.get("channel"), model.lambda_balance, cfg.diversity_weight)
+    loss, bd = manet_loss(l_local, l_global, scores.get("branch"), scores.get("spatial"),
+                          scores.get("channel"), model.lambda_balance, cfg.diversity_weight)
+    bd.predictions = dual_predict(res.global_logits, res.local_logits, model.lambda_balance)
+    return loss, bd
 
 
 @no_grad()
@@ -349,6 +358,7 @@ def train(model, train_set, test_set, config) -> TrainResult:
             add_checks.append(_checked_add(model, train_set.images[:8], epoch))
         params = model.parameters()
         sums = {"total": [], "cls": [], "d_sp": [], "d_ch": [], "d_b": []}
+        hits = 0
         shuffle_seed = np.random.SeedSequence([config.seed, 17, epoch])
         for b_idx, (xb, yb) in enumerate(batches(train_set, config.batch_size,
                                                  shuffle_seed=shuffle_seed)):
@@ -363,14 +373,14 @@ def train(model, train_set, test_set, config) -> TrainResult:
             sums["d_sp"].append(bd.d_sp)
             sums["d_ch"].append(bd.d_ch)
             sums["d_b"].append(bd.d_branch)
+            hits += int((bd.predictions == yb).sum())
             opt.zero_grad(params)
             backward(loss)
             opt.step(params)
         records.append(EpochRecord(
             epoch=epoch + 1,
             branch_count=len(model.branches) if is_ensemble else 2,
-            train_acc=accuracy(predict_dataset(model, train_set, config.batch_size),
-                               train_set.labels),
+            train_acc=hits / len(train_set),
             test_acc=accuracy(predict_dataset(model, test_set, config.batch_size),
                               test_set.labels),
             loss_total=float(np.mean(sums["total"])),

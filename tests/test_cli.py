@@ -1,6 +1,7 @@
 """End-to-end harness runs and the exit-status contract."""
 
 import argparse
+import errno
 import json
 import re
 from dataclasses import fields
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from divreg import cli, gradcheck
+from divreg import cli, data, gradcheck
 from divreg.cli import _build_model, _parser, main
 from divreg.config import ExperimentConfig
 from divreg.data import GeneratorConfig, load_dataset
@@ -232,6 +233,61 @@ def test_gradcheck_corrupt_exits_4(tmp_path, capsys, monkeypatch):
     assert doc["all_passed"] is False
     assert [(c["name"], c["passed"]) for c in doc["checks"]] == [("add", True), ("relu", False)]
     assert "failing: relu" in (tmp_path / "gradcheck.txt").read_text()
+
+
+# each output file -> the command that writes it
+OUTPUTS = {"train.dvds": "gen-data", "test.dvds": "gen-data", "manifest.json": "gen-data",
+           "metrics.csv": "train", "model.dvrg": "train", "summary.json": "train",
+           "eval.json": "eval", "ablation.txt": "ablate",
+           "gradcheck.json": "gradcheck", "gradcheck.txt": "gradcheck"}
+
+
+@pytest.mark.parametrize("name", OUTPUTS)
+def test_a_failed_write_keeps_the_previous_file(name, tmp_path, data_dir, train_out,
+                                                monkeypatch):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / name).write_bytes(b"previous run\n")
+    real_open, temp_files = open, []
+
+    class HalfWritten:
+        # writes half the bytes, then the disk is full
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[:len(data) // 2])
+            self.fh.flush()
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    def failing_open(path, *args, **kwargs):
+        fh = real_open(path, *args, **kwargs)
+        if Path(path).name.startswith(f".{name}."):
+            temp_files.append(Path(path))
+            return HalfWritten(fh)
+        return fh
+
+    monkeypatch.setattr(data, "open", failing_open, raising=False)
+    short_suite(monkeypatch, "add")
+    config = {"gen-data": GEN, "train": dict(TRAIN, dataset_path=str(data_dir)),
+              "ablate": dict(TRAIN, dataset_path=str(data_dir), epochs=1)}
+    argv = {"eval": ["eval", "--checkpoint", str(train_out / "model.dvrg"),
+                     "--dataset", str(data_dir)],
+            "gradcheck": ["gradcheck"]}.get(OUTPUTS[name])
+    if argv is None:
+        argv = [OUTPUTS[name], "--config",
+                write_json(tmp_path / "cfg.json", config[OUTPUTS[name]])]
+    with pytest.raises(OSError, match="No space left"):
+        main(argv + ["--out", str(out), "--quiet"])
+    assert [p.parent for p in temp_files] == [out]
+    assert (out / name).read_bytes() == b"previous run\n"
+    assert not [p for p in out.rglob("*") if p.name.startswith(".")]
 
 
 @pytest.mark.parametrize("base,key,value", [

@@ -1,4 +1,6 @@
-"""Synthetic dataset generation, the DVDS format, and batching."""
+"""Synthetic dataset generation, the DVDS format, batching, and file writes."""
+
+import os
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from divreg.data import (Dataset, DatasetFormatError, GeneratorConfig, batches,
                          class_template, generate, load_dataset,
-                         nearest_template, save_dataset)
+                         nearest_template, save_dataset, write_atomic)
 
 
 def test_generator_config_defaults_and_validation():
@@ -118,6 +120,23 @@ def test_dataset_roundtrip_bitwise(tmp_path):
     np.testing.assert_array_equal(loaded.images, train.images)
     np.testing.assert_array_equal(loaded.labels, train.labels)
     assert loaded.class_count == 3
+
+
+def test_write_atomic_replaces_the_file_whole(tmp_path, monkeypatch):
+    path = tmp_path / "out.txt"
+    write_atomic(path, "first\n")
+    write_atomic(path, b"second\n")
+    assert path.read_bytes() == b"second\n"
+    assert os.listdir(tmp_path) == ["out.txt"]
+
+    def no_replace(src, dst):
+        raise PermissionError("replace refused")
+
+    monkeypatch.setattr(os, "replace", no_replace)
+    with pytest.raises(PermissionError):
+        write_atomic(path, b"third\n")
+    assert path.read_bytes() == b"second\n"
+    assert os.listdir(tmp_path) == ["out.txt"]
 
 
 def test_dataset_save_load_save_identical_bytes(tmp_path):

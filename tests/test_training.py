@@ -122,6 +122,105 @@ def test_train_lists_the_parameters_once_per_epoch_after_any_add(family, monkeyp
     assert listed == ([1, 2, 3] if family == "ensemble" else [None] * 3)
 
 
+def _softmax(a):
+    e = np.exp(a - a.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _vote(stack):
+    """Per sample: the class most branches pick; ties go to the largest
+    summed softmax among the tied classes, then the lowest index."""
+    picks, probs = stack.argmax(axis=2), _softmax(stack).sum(axis=0)
+    out = []
+    for i in range(stack.shape[1]):
+        counts = np.bincount(picks[:, i], minlength=stack.shape[2])
+        tied = [k for k in range(stack.shape[2]) if counts[k] == counts.max()]
+        out.append(max(tied, key=lambda k: (probs[i, k], -k)))
+    return np.array(out)
+
+
+def _train_model(family):
+    return (build_ensemble(4, branch_max=3, seed=0, input_size=8)
+            if family == "ensemble" else build_dual_branch(4, seed=0, input_size=8))
+
+
+@pytest.mark.parametrize("family", ["ensemble", "dual_branch"])
+def test_train_acc_counts_each_steps_own_predictions(family, monkeypatch):
+    # per step, from the logits the step computes before its update: the
+    # ensemble's (L, N, K) stack, or the dual model's lambda-mixed softmax
+    steps, in_step = [], []
+    step_name = "_ensemble_step" if family == "ensemble" else "_dual_step"
+    real_step = getattr(training, step_name)
+
+    def recording_step(model, xb, yb, cfg):
+        in_step.append(True)
+        try:
+            return real_step(model, xb, yb, cfg)
+        finally:
+            in_step.pop()
+
+    def recording(forward):
+        def wrapper(self, batch):
+            out = forward(self, batch)
+            if in_step:
+                if family == "ensemble":
+                    steps.append(out[0].data.copy())
+                else:
+                    lam = self.lambda_balance
+                    steps.append(lam * _softmax(out.local_logits.data)
+                                 + (1 - lam) * _softmax(out.global_logits.data))
+            return out
+        return wrapper
+
+    monkeypatch.setattr(training, step_name, recording_step)
+    if family == "ensemble":
+        monkeypatch.setattr(EnsembleModel, "stacked_forward",
+                            recording(EnsembleModel.stacked_forward))
+    else:
+        monkeypatch.setattr(DualBranchModel, "forward", recording(DualBranchModel.forward))
+    data = tiny_dataset(28)  # batches of 8, 8, 8, 4
+    cfg = tiny_config(model_family=family, branch_max=3, branch_add_epochs=1, epochs=3,
+                      batch_size=8, learning_rate=0.05)
+    result = train(_train_model(family), data, data, cfg)
+
+    assert len(steps) == 3 * 4
+    for epoch, record in enumerate(result.records):
+        hits = 0
+        shuffle = np.random.SeedSequence([cfg.seed, 17, epoch])
+        for b, (_, yb) in enumerate(batches(data, 8, shuffle_seed=shuffle)):
+            step = steps[4 * epoch + b]
+            preds = _vote(step) if family == "ensemble" else step.argmax(axis=1)
+            hits += int((preds == yb).sum())
+        assert record.train_acc == hits / len(data)
+
+
+@pytest.mark.parametrize("family", ["ensemble", "dual_branch"])
+def test_train_makes_one_forward_per_batch_and_one_held_out_pass(family, monkeypatch):
+    # per epoch: the probe's two forwards if a branch is added, one taped
+    # forward per train batch, then one no-grad forward per test batch
+    calls = []
+    model_class = EnsembleModel if family == "ensemble" else DualBranchModel
+    name = "stacked_forward" if family == "ensemble" else "forward"
+    real = getattr(model_class, name)
+
+    def counted(self, batch):
+        out = real(self, batch)
+        logits = out[0] if family == "ensemble" else out.global_logits
+        calls.append("taped" if logits._backward is not None else "no_grad")
+        return out
+
+    monkeypatch.setattr(model_class, name, counted)
+    train_set, test_set = tiny_dataset(28), tiny_dataset(12, seed=1)  # 4 and 2 batches of 8
+    cfg = tiny_config(model_family=family, branch_max=3, branch_add_epochs=1, epochs=3,
+                      batch_size=8)
+    train(_train_model(family), train_set, test_set, cfg)
+    epoch = ["taped"] * 4 + ["no_grad"] * 2
+    if family == "ensemble":
+        assert calls == epoch + (["no_grad"] * 2 + epoch) * 2
+    else:
+        assert calls == epoch * 3
+
+
 def test_sgd_validation_and_zero_grad():
     with pytest.raises(ValueError):
         SGD(0.0)
