@@ -13,6 +13,7 @@ tensor, so ops over all learners read and write the block whole.
 Inference runs inside ``no_grad()``: there every op returns a constant
 with no parent links and no backward closure, so nothing that only the
 backward pass would read (inputs, im2col matrices, masks) outlives it.
+Ops read ``recording()`` to choose a route that only inference may take.
 Broadcasting is deliberately restricted to scalar-with-tensor so that
 shape mistakes fail loudly instead of silently fanning out.
 """
@@ -30,13 +31,20 @@ _recording = True
 @contextmanager
 def no_grad():
     """Record nothing inside the block (or decorated function): every op
-    result is a constant."""
+    result is a constant. An op may take another route here (`nn.conv2d`
+    reads its windows channels-last), so inference logits may differ from
+    a taped forward's by rounding."""
     global _recording
     outer, _recording = _recording, False
     try:
         yield
     finally:
         _recording = outer
+
+
+def recording() -> bool:
+    """Whether ops record tape nodes now (False inside ``no_grad()``)."""
+    return _recording
 
 
 class ShapeMismatch(ValueError):

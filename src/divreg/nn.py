@@ -20,6 +20,15 @@ and the cross-entropy sums the learners' mean losses. One layer is the
 group of one, without the leading axis. A learner's slice of any result
 has the bits it has when that learner runs alone.
 
+Convolution unfolds its input into im2col rows, one per window. A
+recorded conv lists each window in (c, ki, kj) order, the order every
+training step and pinned digest was made with. With autodiff not
+recording, the input is padded channels-last and each window listed in
+(ki, kj, c) order (Chellapilla et al., 2006), so the copy runs along C:
+faster, with sums that may differ from the recorded ones by rounding.
+Training keeps its own order because such rounding, carried through ten
+epochs at L = 3, moved criterion 6's seed-by-seed comparison.
+
 All primitives register custom backwards via ``Tensor.from_op`` and are
 covered by finite-difference checks in the verification suite.
 """
@@ -31,7 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Row, ShapeMismatch, Tensor, accumulate, concat, relu, reshape, sigmoid, tmean
+from .autodiff import (Row, ShapeMismatch, Tensor, accumulate, concat, recording, relu, reshape,
+                       sigmoid, tmean)
 
 
 class Module:
@@ -138,12 +148,21 @@ def _lead(a: np.ndarray, grouped: bool) -> np.ndarray:
     return a if grouped else a[None]
 
 
-def _im2col(maps: np.ndarray, k: int, s: int, p: int) -> np.ndarray:
+def _im2col(maps: np.ndarray, k: int, s: int, p: int, channels_last: bool = False) -> np.ndarray:
     """Every k x k window at stride s of the zero-padded (B, C, H, W) maps,
-    one (C*k*k) row each, row-major over (B, OH, OW); the padded copy is
-    freed on return."""
+    one row each, row-major over (B, OH, OW); the padded copy is freed on
+    return. A row lists its window in (c, ki, kj) order, so the copy runs
+    k elements at a time; ``channels_last`` pads into a (B, H+2p, W+2p, C)
+    array and lists it in (ki, kj, c) order, so each run is C long.
+    A dot product over the second order adds the same terms in another
+    order, so its sums may differ in the last bit."""
     b, c, h, w = maps.shape
     # zero border by assignment: np.pad costs more than the copy itself here
+    if channels_last:
+        xp = np.zeros((b, h + 2 * p, w + 2 * p, c))
+        xp[:, p:p + h, p:p + w] = maps.transpose(0, 2, 3, 1)
+        windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))[:, ::s, ::s]
+        return windows.transpose(0, 1, 2, 4, 5, 3).reshape(-1, k * k * c)
     xp = np.zeros((b, c, h + 2 * p, w + 2 * p))
     xp[:, :, p:p + h, p:p + w] = maps
     windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::s, ::s]
@@ -161,6 +180,10 @@ def conv2d(x: Tensor, layer: ConvLayer) -> Tensor:
     whatever L is: the batched matmul runs one GEMM per learner, the
     output keeps the channels-last strides the following reductions read,
     and a shared input adds the learners' gradients in learner order.
+
+    A recorded conv reads its windows in (c, ki, kj) order, otherwise
+    channels-last in (ki, kj, c) order (see the module docstring). The
+    backward computes the input gradient only when ``x`` requires one.
     """
     grouped = layer.weights.data.ndim == 5
     w = _lead(layer.weights.data, grouped)
@@ -174,12 +197,15 @@ def conv2d(x: Tensor, layer: ConvLayer) -> Tensor:
     k, s, p = layer.kernel, layer.stride, layer.padding
     o = layer.out_channels
     oh, ow = layer.out_size(h, wd)
+    taped = recording()
 
     hp, wp = h + 2 * p, wd + 2 * p
     # the learners' maps folded into the batch axis, (1 or L)*n images, and
-    # their windows as (1 or L, n*oh*ow, ci*k*k) rows: one dgemm per learner
-    col = _im2col(x.data.reshape((-1, ci, h, wd)), k, s, p).reshape(-1, n * oh * ow, ci * k * k)
-    w2 = w.reshape(count, o, ci * k * k)
+    # their windows as (1 or L, n*oh*ow, ci*k*k) rows: one dgemm per learner;
+    # inference reads them channels-last against (O, k, k, C) weight rows
+    col = _im2col(x.data.reshape((-1, ci, h, wd)), k, s, p,
+                  channels_last=not taped).reshape(-1, n * oh * ow, ci * k * k)
+    w2 = (w if taped else w.transpose(0, 1, 3, 4, 2)).reshape(count, o, ci * k * k)
     out = np.matmul(col, w2.transpose(0, 2, 1)).reshape(count, n, oh, ow, o)
     out += _lead(layer.bias.data, grouped)[:, None, None, None, :]
     out = out.transpose(0, 1, 4, 2, 3)
@@ -191,6 +217,8 @@ def conv2d(x: Tensor, layer: ConvLayer) -> Tensor:
         g2 = gs.transpose(0, 1, 3, 4, 2).reshape(count, n * oh * ow, o)
         gw = np.matmul(g2.transpose(0, 2, 1), col).reshape(w.shape)
         accumulate(layer.weights, gw if grouped else gw[0])
+        if not x.requires_grad:
+            return
         dcol = np.matmul(g2, w2).reshape(count * n, oh, ow, ci, k, k)
         # channels-last, so each window's add runs along C in both arrays
         dxp = np.zeros((count * n, hp, wp, ci))

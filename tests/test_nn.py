@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from divreg.autodiff import ShapeMismatch, Tensor, accumulate, backward, sigmoid
+from divreg import models, nn
+from divreg.autodiff import ShapeMismatch, Tensor, accumulate, backward, no_grad, sigmoid
 from divreg.nn import (AttentionBlock, ConvLayer, DenseLayer, Module, add_learner,
                        attention_apply, broadcast_mul, conv2d, global_avg_pool, linear,
                        reduce_max, softmax_cross_entropy, stack_learners)
@@ -465,3 +466,122 @@ def test_sigmoid_and_reduce_max_keep_the_bits_of_the_masked_forms():
         want = _masked_sigmoid(logits)
         got = sigmoid(Tensor(logits)).data
     assert got.view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
+
+
+# --- the two window orders -------------------------------------------------
+
+def _model_convs(monkeypatch):
+    """(input data, layer) of every conv2d call that one no-grad forward of
+    each family makes: the ensemble at 32 px with 3 branches and at 8 px
+    with 15, and the dual model at 32 px."""
+    seen = []
+    real = nn.conv2d
+
+    def spy(x, layer):
+        seen.append((x.data.copy(), layer))
+        return real(x, layer)
+
+    monkeypatch.setattr(nn, "conv2d", spy)
+    monkeypatch.setattr(models, "conv2d", spy)
+    rng = np.random.default_rng(23)
+    with no_grad():
+        models.build_ensemble(8, branch_max=3, seed=1, input_size=32, initial_branches=3) \
+            .stacked_forward(Tensor(rng.uniform(size=(3, 1, 32, 32))))
+        models.build_ensemble(3, branch_max=15, seed=1, input_size=8, initial_branches=15) \
+            .stacked_forward(Tensor(rng.uniform(size=(3, 1, 8, 8))))
+        models.build_dual_branch(8, seed=1, input_size=32) \
+            .forward(Tensor(rng.uniform(size=(3, 1, 32, 32))))
+    monkeypatch.undo()
+    return seen
+
+
+def _training_order_conv(x, layer):
+    """Each learner's conv as im2col rows in (c, ki, kj) order and one
+    matmul: the order every training step was pinned with."""
+    k, s, p = layer.kernel, layer.stride, layer.padding
+    w = layer.weights.data
+    grouped = w.ndim == 5
+    ws, bs = (w, layer.bias.data) if grouped else (w[None], layer.bias.data[None])
+    xs = x if x.ndim == 5 else np.broadcast_to(x, (len(ws),) + x.shape)
+    outs = []
+    for xl, wl, bl in zip(xs, ws, bs):
+        n, c, h, wd = xl.shape
+        oh, ow = layer.out_size(h, wd)
+        xp = np.pad(xl, ((0, 0), (0, 0), (p, p), (p, p)))
+        windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::s, ::s]
+        col = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * oh * ow, c * k * k)
+        out = (col @ wl.reshape(len(wl), -1).T).reshape(n, oh, ow, len(wl)) + bl
+        outs.append(out.transpose(0, 3, 1, 2))
+    return np.stack(outs) if grouped else outs[0]
+
+
+def test_inference_conv_agrees_with_the_recorded_conv(monkeypatch):
+    # inference reads channels-last windows in (ki, kj, c) order: the same
+    # sums in another order, so equal up to rounding
+    seen = _model_convs(monkeypatch)
+    kinds = {"shared input": any(x.ndim == 4 and l.weights.data.ndim == 5 for x, l in seen),
+             "grouped stack": any(x.ndim == 5 for x, _ in seen),
+             "o = 1": any(l.out_channels == 1 for _, l in seen),
+             "stride 2": any(l.stride == 2 for _, l in seen),
+             "C = 1": any(l.in_channels == 1 for _, l in seen)}
+    assert all(kinds.values()), kinds
+    for x, layer in seen:
+        recorded = conv2d(Tensor(x), layer)
+        assert recorded._backward is not None
+        with no_grad():
+            inferred = conv2d(Tensor(x), layer)
+        assert inferred.data.shape == recorded.data.shape
+        gap = np.abs(inferred.data - recorded.data).max()
+        assert gap <= 1e-12 * np.abs(recorded.data).max(), (x.shape, layer.weights.data.shape)
+
+
+def test_recorded_conv_keeps_the_training_window_order(monkeypatch):
+    for x, layer in _model_convs(monkeypatch):
+        recorded = conv2d(Tensor(x), layer)
+        assert _bits(recorded.data) == _bits(_training_order_conv(x, layer)), \
+            (x.shape, layer.weights.data.shape)
+
+
+class _CountingNumpy:
+    """numpy, counting the matmul and zeros calls made through it."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def matmul(self, *args, **kwargs):
+        self.calls.append("matmul")
+        return np.matmul(*args, **kwargs)
+
+    def zeros(self, *args, **kwargs):
+        self.calls.append("zeros")
+        return np.zeros(*args, **kwargs)
+
+
+@pytest.mark.parametrize("learners", [0, 3])  # 0: one layer, not a group
+def test_conv_on_an_input_without_grad_makes_no_input_gradient(learners, monkeypatch):
+    rng = np.random.default_rng(31)
+    layers = [ConvLayer(16, 8, 3, stride=1, padding=1, rng=rng) for _ in range(max(learners, 1))]
+    layer = stack_learners(layers) if learners else layers[0]
+    data = rng.normal(size=(4, 16, 8, 8))
+    upstream = rng.normal(size=conv2d(Tensor(data), layer).data.shape)
+    grads, counts = {}, {}
+    for needs in (True, False):
+        x = Tensor(data, requires_grad=needs)
+        out = conv2d(x, layer)
+        layer.weights.grad = layer.bias.grad = None
+        counting = _CountingNumpy()
+        monkeypatch.setattr(nn, "np", counting)
+        backward(_feed([out], [upstream]))
+        monkeypatch.undo()
+        grads[needs] = (x.grad, layer.weights.grad, layer.bias.grad)
+        counts[needs] = counting.calls
+    assert grads[False][0] is None and grads[True][0] is not None
+    assert _bits(grads[False][1]) == _bits(grads[True][1])
+    assert _bits(grads[False][2]) == _bits(grads[True][2])
+    # the weight gradient's one GEMM, and no padded map to scatter into
+    assert counts[False] == ["matmul"]
+    assert "zeros" in counts[True] and len(counts[True]) > 2
+

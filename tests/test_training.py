@@ -526,6 +526,35 @@ def test_evaluate_leaves_the_next_step_gradients_bit_identical():
     assert step_grads() == plain
 
 
+@pytest.mark.parametrize("family", ["ensemble", "dual_branch"])
+def test_trained_model_predicts_alike_without_and_with_a_tape(family):
+    # inference convs read their windows in another order than the taped
+    # ones, so the logits may differ by rounding; the predictions must not
+    model = _train_model(family)
+    train_set, test_set = tiny_dataset(32, seed=3), tiny_dataset(40, seed=4)
+    train(model, train_set, test_set, tiny_config(model_family=family, branch_max=3,
+                                                  branch_add_epochs=1, epochs=3, batch_size=8,
+                                                  learning_rate=0.05, diversity_weight=1.0))
+    preds, gaps = [], []
+    for xb, _ in batches(test_set, 16, shuffle_seed=None):
+        if family == "ensemble":
+            logits = model.stacked_forward(Tensor(xb))[0]
+            preds.append(ensemble_predict(logits.data))
+        else:
+            res = model.forward(Tensor(xb))
+            logits = res.global_logits
+            preds.append(dual_predict(res.global_logits, res.local_logits,
+                                      model.lambda_balance))
+        assert logits._backward is not None
+        with autodiff.no_grad():
+            free = (model.stacked_forward(Tensor(xb))[0] if family == "ensemble"
+                    else model.forward(Tensor(xb)).global_logits)
+        gaps.append(np.abs(free.data - logits.data).max() / np.abs(logits.data).max())
+    np.testing.assert_array_equal(predict_dataset(model, test_set, batch_size=16),
+                                  np.concatenate(preds))
+    assert max(gaps) <= 1e-12
+
+
 def record_ops(monkeypatch) -> list:
     """The op kind of each tape node (a result with parents) recorded from
     now on, in order."""
