@@ -3,8 +3,11 @@
 A ``Tensor`` wraps a float64 numpy array plus an optional gradient slot.
 Every op records the node it creates (op kind, parent links); calling
 ``backward`` on a scalar root walks the tape in reverse topological order
-and accumulates gradients additively into every reachable tensor that
-requires them.
+and accumulates gradients additively into every reachable leaf that
+requires them. Backward consumes the graph it walks: once an interior
+node (an op result) has passed its gradient on, it keeps only its
+``data``, so its gradient, closure and parent links are freed while the
+walk goes on, and a second backward through it raises.
 
 The ops here are the ones the training steps record, plus ``neg`` for
 writing a negated loss; `divreg gradcheck` checks each of them.
@@ -168,10 +171,14 @@ def accumulate(t: Tensor, g: np.ndarray) -> None:
 
 
 def backward(root: Tensor) -> None:
-    """Populate ``grad`` for every requires_grad tensor reachable from ``root``.
+    """Populate ``grad`` for every requires_grad leaf reachable from ``root``.
 
     ``root`` must be scalar-sized and itself require grad; gradients from
-    multiple uses of one tensor accumulate additively.
+    multiple uses of one tensor accumulate additively. The walk consumes
+    the graph: each interior node drops its gradient, closure and parent
+    links once its closure has run and keeps its ``data``. Leaves
+    (parameters, their `Row`s, inputs) keep their gradients. Reaching a
+    node an earlier backward consumed raises ``ValueError``.
     """
     if root.data.size != 1:
         raise ValueError(f"backward: root must be scalar, got shape {root.data.shape}")
@@ -190,6 +197,9 @@ def backward(root: Tensor) -> None:
             continue
         if node in visited:
             continue
+        if not node._parents and node._op != "leaf":
+            raise ValueError(f"backward: the {node._op!r} node's graph was consumed "
+                             "by an earlier backward")
         visited.add(node)
         stack.append((node, True))
         for p in node._parents:
@@ -198,8 +208,12 @@ def backward(root: Tensor) -> None:
 
     accumulate(root, np.ones_like(root.data))
     for node in reversed(topo):
+        if not node._parents:  # a leaf keeps its gradient
+            continue
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
+        node.grad = node._backward = None
+        node._parents = ()
 
 
 # ---------------------------------------------------------------------------
@@ -245,12 +259,16 @@ def neg(a: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0
+    """max(x, 0) in one pass that keeps the input's memory order; the
+    in-place ``+= 0.0`` turns -0.0 into +0.0 (fmax maps NaN to 0.0), the
+    bits of ``where(x > 0, x, 0.0)``. The backward builds its own mask."""
+    out_data = np.fmax(a.data, 0.0)
+    out_data += 0.0
 
     def back(g):
-        accumulate(a, g * mask)
+        accumulate(a, g * (a.data > 0))
 
-    return Tensor.from_op(np.where(mask, a.data, 0.0), (a,), back, "relu")
+    return Tensor.from_op(out_data, (a,), back, "relu")
 
 
 def sigmoid(a: Tensor) -> Tensor:

@@ -82,10 +82,13 @@ class Dataset:
         if labels.ndim != 1 or labels.shape[0] != images.shape[0]:
             raise ValueError(
                 f"labels shape {labels.shape} does not match {images.shape[0]} images")
-        if images.size and not np.isfinite(images).all():
-            raise ValueError("images contain non-finite values")
-        if images.size and (images.min() < 0.0 or images.max() > 1.0):
-            raise ValueError("image values must lie in [0, 1]")
+        if images.size:
+            # a NaN or an infinity anywhere makes the min or the max non-finite
+            lo, hi = images.min(), images.max()
+            if not (np.isfinite(lo) and np.isfinite(hi)):
+                raise ValueError("images contain non-finite values")
+            if lo < 0.0 or hi > 1.0:
+                raise ValueError("image values must lie in [0, 1]")
         if class_count < 1:
             raise ValueError(f"class_count must be >= 1, got {class_count}")
         if labels.size and (labels.min() < 0 or labels.max() >= class_count):

@@ -263,3 +263,54 @@ def test_sum_grad_is_ones(a):
     x = var(a)
     backward(tsum(x))
     np.testing.assert_array_equal(x.grad, np.ones_like(a))
+
+
+def test_relu_forward_has_the_bits_and_order_of_the_where_form():
+    special = [np.nan, -np.nan, -0.0, 0.0, np.inf, -np.inf, 5e-324, -5e-324,
+               2.2250738585072014e-308, -1.5, 1.5, np.finfo(np.float64).max]
+    flat = np.array(special)
+    rng = np.random.default_rng(3)
+    channels_last = rng.normal(size=(2, 3, 3, 4))
+    channels_last.reshape(-1)[:flat.size] = flat
+    for x in (flat, channels_last.transpose(0, 3, 1, 2)):
+        expected = np.where(x > 0, x, 0.0)
+        t = var(x)
+        t.data = x  # Tensor() copies in C order; keep the strided layout
+        with no_grad():
+            untaped_out = relu(t).data
+        for out in (relu(t).data, untaped_out):
+            assert out.strides == expected.strides == x.strides
+            assert out.tobytes() == expected.tobytes()
+
+
+def _chain():
+    x = var([1.0, -2.0, 3.0])
+    w = var([0.5, 0.5, -1.0])
+    hidden = relu(x * w)
+    scaled = hidden * Tensor(2.0)
+    root = tsum(scaled + x)
+    return x, w, (hidden, scaled, root)
+
+
+def test_backward_consumes_interior_nodes_and_leaves_keep_grads():
+    x, w, interior = _chain()
+    data = [node.data.copy() for node in interior]
+    backward(interior[-1])
+    for node, before in zip(interior, data):
+        assert node.grad is None and node._backward is None and node._parents == ()
+        assert node.data.tobytes() == before.tobytes()
+    np.testing.assert_array_equal(x.grad, [2.0, 1.0, 1.0])
+    np.testing.assert_array_equal(w.grad, [2.0, 0.0, 0.0])
+
+
+def test_backward_through_a_consumed_graph_raises():
+    x, w, (hidden, _, root) = _chain()
+    backward(root)
+    grads = x.grad.copy(), w.grad.copy()
+    with pytest.raises(ValueError, match="'sum'.*consumed"):
+        backward(root)
+    with pytest.raises(ValueError, match="'relu'.*consumed"):
+        backward(tsum(hidden * hidden))
+    # a refused backward accumulates nothing
+    np.testing.assert_array_equal(x.grad, grads[0])
+    np.testing.assert_array_equal(w.grad, grads[1])

@@ -53,6 +53,22 @@ def test_dataset_validation():
         Dataset(imgs, labels + 5, 2)
 
 
+@pytest.mark.parametrize("value, message", [
+    (float("nan"), "non-finite"), (float("inf"), "non-finite"), (float("-inf"), "non-finite"),
+    (-1e-9, r"lie in \[0, 1\]"), (1.0 + 1e-9, r"lie in \[0, 1\]")])
+def test_dataset_rejects_one_bad_pixel(value, message):
+    """One pixel anywhere is enough, and a non-finite pixel is named as
+    such even beside an out-of-range one."""
+    imgs = np.full((3, 1, 4, 4), 0.5)
+    labels = np.zeros(3, dtype=np.int64)
+    imgs[1, 0, 2, 3] = value
+    with pytest.raises(ValueError, match=message):
+        Dataset(imgs, labels, 2)
+    imgs[2, 0, 0, 0] = 7.0
+    with pytest.raises(ValueError, match=message):
+        Dataset(imgs, labels, 2)
+
+
 def test_class_template_deterministic_bumps():
     t0 = class_template(0)
     assert t0.shape == (1, 32, 32)

@@ -1,5 +1,7 @@
 """Optimizer, loss composition, and the training loop."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -675,3 +677,44 @@ def test_dual_step_tape_size(monkeypatch):
                         ExperimentConfig(model_family="dual_branch", class_count=4))[0])
     assert recorded.count("conv2d") == 6
     assert len(recorded) == 78  # 138 with a conv2d and attention_apply call per path
+
+
+def _interior_nodes(root) -> list:
+    """Every op result with parent links reachable from ``root``, root first."""
+    seen, stack, nodes = set(), [root], []
+    while stack:
+        node = stack.pop()
+        if node in seen or not node._parents:
+            continue
+        seen.add(node)
+        nodes.append(node)
+        stack.extend(node._parents)
+    return nodes
+
+
+@pytest.mark.parametrize("family", ["ensemble", "dual_branch"])
+def test_backward_frees_the_step_graph_it_walked(family):
+    # backward consumes the step's graph: each interior node keeps only its
+    # data, so once only `loss` is held, every other activation is freed
+    data = tiny_dataset(n=8, classes=3)
+    cfg = tiny_config(model_family=family, class_count=3, diversity_tap="all")
+    if family == "ensemble":
+        model = build_ensemble(3, branch_max=3, seed=0, input_size=8, initial_branches=3)
+        step = _ensemble_step
+    else:
+        model = build_dual_branch(3, seed=0, input_size=8)
+        step = _dual_step
+    loss, _ = step(model, data.images, data.labels, cfg)
+    nodes = _interior_nodes(loss)
+    assert len(nodes) > 20
+    before = [node.data.copy() for node in nodes]
+    arrays = [weakref.ref(node.data) for node in nodes[1:]
+              if isinstance(node.data, np.ndarray)]  # a reduction may give a numpy scalar
+    assert len(arrays) > 20
+    backward(loss)
+    for node, data_before in zip(nodes, before):
+        assert node.grad is None and node._backward is None and node._parents == ()
+        assert node.data.tobytes() == data_before.tobytes()
+    assert all(p.grad is not None for p in model.parameters())
+    del nodes, node, before, data_before
+    assert [ref() for ref in arrays if ref() is not None] == []
