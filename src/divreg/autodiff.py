@@ -92,24 +92,18 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, op={self._op!r}, requires_grad={self.requires_grad})"
 
-    # arithmetic sugar; numbers are lifted to constant tensors
+    # arithmetic sugar over two tensors
     def __add__(self, other):
-        return add(self, _lift(other))
+        return add(self, other)
 
     def __mul__(self, other):
-        return mul(self, _lift(other))
+        return mul(self, other)
 
     def __neg__(self):
         return neg(self)
 
     def __getitem__(self, key):
         return narrow(self, key)
-
-
-def _lift(x) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(x)
 
 
 class Row(Tensor):
@@ -341,12 +335,8 @@ def narrow(a: Tensor, key) -> Tensor:
     """Basic slicing (ints/slices/tuples); gradient scatters back into place.
     The copy keeps the source's memory order, which fixes reduction order."""
     out_data = a.data[key]
-    if not isinstance(out_data, np.ndarray):
-        out_data = np.asarray(out_data)
 
     def back(g):
-        if not a.requires_grad:
-            return
         if a.grad is None:
             a.grad = np.zeros_like(a.data)
         a.grad[key] += g

@@ -15,7 +15,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, astuple, fields
 from pathlib import Path
 
 from .config import ConfigError, ExperimentConfig
@@ -24,10 +24,7 @@ from .data import (DatasetFormatError, GeneratorConfig, generate, load_dataset, 
 from .gradcheck import report_json, report_text, run_suite
 from .models import (CheckpointFormatError, EnsembleModel, build_dual_branch, build_ensemble,
                      load_checkpoint, save_checkpoint)
-from .training import NonFiniteLossError, evaluate, resolved_gammas, train
-
-_METRIC_COLUMNS = ("epoch", "branch_count", "train_acc", "test_acc",
-                   "loss_total", "loss_cls", "d_sp", "d_ch", "d_branch")
+from .training import EpochRecord, NonFiniteLossError, evaluate, resolved_gammas, train
 
 
 def _say(quiet: bool, message: str) -> None:
@@ -68,9 +65,8 @@ def _fmt(v) -> str:
 
 
 def _write_metrics(path: Path, records) -> None:
-    lines = [",".join(_METRIC_COLUMNS)]
-    for r in records:
-        lines.append(",".join(_fmt(getattr(r, c)) for c in _METRIC_COLUMNS))
+    lines = [",".join(f.name for f in fields(EpochRecord))]
+    lines += [",".join(map(_fmt, astuple(r))) for r in records]
     write_atomic(path, "\n".join(lines) + "\n")
 
 
@@ -113,10 +109,6 @@ def _build_model(cfg: ExperimentConfig, input_size: int):
                              lambda_balance=cfg.lambda_balance)
 
 
-def _record_dict(r) -> dict:
-    return {c: getattr(r, c) for c in _METRIC_COLUMNS}
-
-
 def _run_training(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> dict:
     """Train per config, write metrics/summary/checkpoint, return summary."""
     if cfg.dataset_path is None:
@@ -143,11 +135,8 @@ def _run_training(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> dict:
         "model_family": cfg.model_family,
         "gamma_resolved": resolved_gammas(model, train_set.images[:1], cfg),
         "dataset_checksums": checksums,
-        "final": _record_dict(result.records[-1]),
-        "branch_add_checks": [
-            {"epoch": c.epoch, "branch_count": c.branch_count,
-             "bit_exact": c.bit_exact, "max_abs_diff": c.max_abs_diff}
-            for c in result.add_checks],
+        "final": asdict(result.records[-1]),
+        "branch_add_checks": [asdict(c) for c in result.add_checks],
         "wall_time_s": wall,
         "files": {"metrics": "metrics.csv", "checkpoint": "model.dvrg"},
     }
@@ -178,13 +167,18 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
+def _config_doc(args) -> dict:
+    """The config JSON of `train` or `ablate`, with --seed and --out applied."""
     doc = _load_json(args.config)
     if args.seed is not None:
         doc["seed"] = args.seed
     if args.out is not None:
         doc["output_dir"] = args.out
-    cfg = ExperimentConfig.from_dict(doc)
+    return doc
+
+
+def cmd_train(args) -> int:
+    cfg = ExperimentConfig.from_dict(_config_doc(args))
     _run_training(cfg, Path(cfg.output_dir), args.quiet)
     return 0
 
@@ -210,9 +204,7 @@ def cmd_eval(args) -> int:
         "dataset": str(dpath),
         "model_family": "ensemble" if is_ensemble else "dual_branch",
         "branch_count": len(model.branches) if is_ensemble else 2,
-        "accuracy": report.accuracy,
-        "per_class": report.per_class,
-        "per_branch": report.per_branch,
+        **asdict(report),
     }
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -236,11 +228,7 @@ _ABLATION_COLUMNS = ("cell", "attention", "diversity_spatial", "diversity_channe
 
 
 def cmd_ablate(args) -> int:
-    doc = _load_json(args.config)
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    if args.out is not None:
-        doc["output_dir"] = args.out
+    doc = _config_doc(args)
     base = ExperimentConfig.from_dict(doc)  # validate before any cell runs
     out = Path(base.output_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -120,37 +120,29 @@ def class_template(class_index: int, size: int = IMAGE_SIZE) -> np.ndarray:
 
 def generate(config: GeneratorConfig) -> tuple[Dataset, Dataset]:
     """Deterministic (train, test) split; every 5th sample per class is
-    held out for test."""
+    held out for test. Each image is written straight into its split."""
     rng = np.random.default_rng(np.random.SeedSequence([config.seed]))
-    size = IMAGE_SIZE
-    train_images, train_labels, test_images, test_labels = [], [], [], []
-    for k in range(config.class_count):
+    size, s, k_count = IMAGE_SIZE, config.occlusion_size, config.class_count
+    n_test = config.samples_per_class // 5
+    splits = [np.empty((k_count, n, 1, size, size))
+              for n in (config.samples_per_class - n_test, n_test)]
+    for k in range(k_count):
         template = class_template(k, size)
+        filled = [0, 0]
         for i in range(config.samples_per_class):
             img = template + rng.normal(0.0, config.noise_sigma, (1, size, size)) \
                 if config.noise_sigma > 0 else template.copy()
             occlude = rng.random() < config.occlusion_prob
-            s = config.occlusion_size
             y0 = int(rng.integers(0, size - s + 1)) if s else 0
             x0 = int(rng.integers(0, size - s + 1)) if s else 0
             if occlude and s:
-                img = img.copy()
                 img[:, y0:y0 + s, x0:x0 + s] = 0.0
-            img = np.clip(img, 0.0, 1.0).astype(np.float32).astype(np.float64)
-            if i % 5 == 4:
-                test_images.append(img)
-                test_labels.append(k)
-            else:
-                train_images.append(img)
-                train_labels.append(k)
-    k = config.class_count
-
-    def pack(imgs, labs):
-        if imgs:
-            return Dataset(np.stack(imgs), np.asarray(labs, dtype=np.int64), k)
-        return Dataset(np.zeros((0, 1, size, size)), np.zeros(0, dtype=np.int64), k)
-
-    return pack(train_images, train_labels), pack(test_images, test_labels)
+            held_out = int(i % 5 == 4)
+            splits[held_out][k, filled[held_out]] = np.clip(img, 0.0, 1.0).astype(np.float32)
+            filled[held_out] += 1
+    return tuple(Dataset(images.reshape(-1, 1, size, size),
+                         np.repeat(np.arange(k_count), images.shape[1]), k_count)
+                 for images in splits)
 
 
 def nearest_template(images: np.ndarray, class_count: int) -> np.ndarray:

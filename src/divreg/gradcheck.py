@@ -12,7 +12,7 @@ relu/max kinks, so the report is deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -379,8 +379,6 @@ def report_text(results) -> str:
 
 def report_json(results) -> dict:
     return {
-        "checks": [{"name": r.name, "max_rel_err": r.max_rel_err,
-                    "threshold": r.threshold, "passed": r.passed}
-                   for r in results],
+        "checks": [asdict(r) for r in results],
         "all_passed": all(r.passed for r in results),
     }

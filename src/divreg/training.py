@@ -26,10 +26,12 @@ the same tape route, and logged.
 The ensemble grows on a schedule: at the start of epoch e (0-based), a
 branch is added when e > 0, e is a multiple of the add interval, and the
 cap is not reached. Every add runs a probe forward to confirm existing
-branch outputs are bit-identical before and after. An epoch's `train_acc`
-counts the hits of each step's own predictions (the vote or the mix of
-the logits the step computes), each taken before its update; `test_acc`
-is one held-out pass after the epoch. Inference (the probe, the held-out
+branch outputs are bit-identical before and after. `train` keeps each
+step's LossBreakdown, and an epoch's record holds the mean of each of
+their parts (a D no step computed stays None). Its `train_acc` counts the
+hits of each step's own predictions (the vote or the mix of the logits
+the step computes), each taken before its update; `test_acc` is one
+held-out pass after the epoch. Inference (the probe, the held-out
 pass, `evaluate`) runs under `no_grad` and records no tape.
 """
 
@@ -357,7 +359,7 @@ def train(model, train_set, test_set, config) -> TrainResult:
                 and len(model.branches) < model.branch_max):
             add_checks.append(_checked_add(model, train_set.images[:8], epoch))
         params = model.parameters()
-        sums = {"total": [], "cls": [], "d_sp": [], "d_ch": [], "d_b": []}
+        steps: list[LossBreakdown] = []
         hits = 0
         shuffle_seed = np.random.SeedSequence([config.seed, 17, epoch])
         for b_idx, (xb, yb) in enumerate(batches(train_set, config.batch_size,
@@ -368,11 +370,7 @@ def train(model, train_set, test_set, config) -> TrainResult:
                 loss, bd = _dual_step(model, xb, yb, config)
             if not bd.finite():
                 raise NonFiniteLossError(epoch, b_idx, bd)
-            sums["total"].append(bd.total)
-            sums["cls"].append(bd.classification)
-            sums["d_sp"].append(bd.d_sp)
-            sums["d_ch"].append(bd.d_ch)
-            sums["d_b"].append(bd.d_branch)
+            steps.append(bd)
             hits += int((bd.predictions == yb).sum())
             opt.zero_grad(params)
             backward(loss)
@@ -383,10 +381,10 @@ def train(model, train_set, test_set, config) -> TrainResult:
             train_acc=hits / len(train_set),
             test_acc=accuracy(predict_dataset(model, test_set, config.batch_size),
                               test_set.labels),
-            loss_total=float(np.mean(sums["total"])),
-            loss_cls=float(np.mean(sums["cls"])),
-            d_sp=_mean_or_none(sums["d_sp"]),
-            d_ch=_mean_or_none(sums["d_ch"]),
-            d_branch=_mean_or_none(sums["d_b"]),
+            loss_total=float(np.mean([s.total for s in steps])),
+            loss_cls=float(np.mean([s.classification for s in steps])),
+            d_sp=_mean_or_none([s.d_sp for s in steps]),
+            d_ch=_mean_or_none([s.d_ch for s in steps]),
+            d_branch=_mean_or_none([s.d_branch for s in steps]),
         ))
     return TrainResult(records=records, add_checks=add_checks)

@@ -15,7 +15,7 @@ from divreg.cli import _build_model, _parser, main
 from divreg.config import ExperimentConfig
 from divreg.data import GeneratorConfig, load_dataset
 from divreg.models import load_checkpoint
-from divreg.training import resolved_gammas
+from divreg.training import EpochRecord, resolved_gammas
 from tape_oracle import scale_backward
 
 GEN = {"class_count": 3, "samples_per_class": 10, "noise_sigma": 0.05,
@@ -81,6 +81,31 @@ def test_train_outputs(train_out):
     model = load_checkpoint(train_out / "model.dvrg")
     assert model.class_count == 3
     assert len(model.branches) == 2
+
+
+def _csv_value(text: str):
+    if text == "":
+        return None
+    return int(text) if text.lstrip("-").isdigit() else float(text)
+
+
+@pytest.mark.parametrize("family", ["ensemble", "dual_branch"])
+def test_records_round_trip_through_metrics_summary_and_eval(family, tmp_path, data_dir):
+    doc = dict(TRAIN, dataset_path=str(data_dir), model_family=family)
+    if family == "dual_branch":
+        del doc["branch_max"], doc["branch_add_epochs"]
+    cfg = write_json(tmp_path / "train.json", doc)
+    out = tmp_path / "out"
+    assert main(["train", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    header, *rows = [line.split(",") for line in (out / "metrics.csv").read_text().splitlines()]
+    assert header == [f.name for f in fields(EpochRecord)]
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["final"] == dict(zip(header, map(_csv_value, rows[-1])))
+    # the epoch pass runs at batch_size 8 and eval at 64: same predictions
+    assert main(["eval", "--checkpoint", str(out / "model.dvrg"), "--dataset", str(data_dir),
+                 "--out", str(tmp_path), "--quiet"]) == 0
+    report = json.loads((tmp_path / "eval.json").read_text())
+    assert report["accuracy"] == summary["final"]["test_acc"]
 
 
 # 16px input: the base gives 4x4, ensemble attention maps are 4x4 then

@@ -122,6 +122,26 @@ def test_generate_occlusion_zeroes_square():
         assert (img == 0.0).sum() >= 64
 
 
+@pytest.mark.parametrize("seed", [5, 11])
+def test_occluded_twins_differ_only_inside_one_zeroed_square(seed):
+    # occlusion on or off draws the same numbers, so each image has a twin
+    # that differs only where its occlusion square zeroed it
+    base = dict(class_count=8, samples_per_class=20, occlusion_size=10, seed=seed)
+    clear = generate(GeneratorConfig(occlusion_prob=0.0, **base))
+    occluded = generate(GeneratorConfig(occlusion_prob=1.0, **base))
+    changed = 0
+    for a, b in zip(clear, occluded):
+        np.testing.assert_array_equal(a.labels, b.labels)
+        for x, y in zip(a.images[:, 0], b.images[:, 0]):
+            rows, cols = np.nonzero(x != y)
+            if rows.size == 0:
+                continue
+            changed += 1
+            assert rows.max() - rows.min() < 10 and cols.max() - cols.min() < 10
+            assert (y[rows, cols] == 0.0).all()
+    assert changed > 0.9 * 8 * 20
+
+
 def test_nearest_template_separates_defaults():
     train, test = generate(GeneratorConfig(samples_per_class=10))
     preds = nearest_template(test.images, 8)

@@ -349,6 +349,27 @@ def test_growth_schedule_trajectory():
     assert all(c.max_abs_diff == 0.0 for c in result.add_checks)
 
 
+def test_branch_add_check_reports_a_moved_branch(monkeypatch):
+    nudge = 0.25
+    real_add = training.add_branch
+
+    def add_and_nudge(model):
+        real_add(model)
+        bias = model.stacked.head.bias  # row 0 is the first branch
+        moved = bias.data.copy()
+        moved[0, 0] += nudge
+        bias.data = moved
+
+    monkeypatch.setattr(training, "add_branch", add_and_nudge)
+    cfg = tiny_config(branch_max=2, branch_add_epochs=1, epochs=2)
+    model = build_ensemble(4, branch_max=2, seed=0, input_size=8)
+    result = train(model, tiny_dataset(32), tiny_dataset(8, seed=1), cfg)
+    (check,) = result.add_checks
+    assert check.epoch == 2 and check.branch_count == 2
+    assert check.bit_exact is False
+    assert check.max_abs_diff == pytest.approx(nudge, abs=1e-12)
+
+
 def test_records_are_one_based_and_complete():
     cfg = tiny_config(epochs=2, branch_max=1)
     model = build_ensemble(4, branch_max=1, seed=0, input_size=8)
