@@ -347,15 +347,17 @@ def narrow(a: Tensor, key) -> Tensor:
 # ---------------------------------------------------------------------------
 # finite-difference verification
 
-def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-5) -> float:
-    """Max relative error between autodiff and central finite differences.
+GRAD_CHECK_EPS = 1e-5  # the central-difference step of `grad_check`
+
+
+def grad_check(f: Callable[[Tensor], Tensor], x: Tensor) -> float:
+    """Max relative error between autodiff and central finite differences
+    of step GRAD_CHECK_EPS.
 
     ``f`` must return a scalar Tensor and be rebuildable (it is re-run for
     every coordinate perturbation of ``x.data``).  Relative error is
     ``|a-b| / max(1e-12, |a|, |b|)`` per coordinate.
     """
-    if eps <= 0:
-        raise ValueError("grad_check: eps must be positive")
     x.grad = None
     out = f(x)
     if out.data.size != 1:
@@ -368,12 +370,12 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-5) -> f
     fd = np.zeros_like(flat)
     for i in range(flat.size):
         orig = flat[i]
-        flat[i] = orig + eps
+        flat[i] = orig + GRAD_CHECK_EPS
         hi = float(f(x).data.reshape(-1)[0])
-        flat[i] = orig - eps
+        flat[i] = orig - GRAD_CHECK_EPS
         lo = float(f(x).data.reshape(-1)[0])
         flat[i] = orig
-        fd[i] = (hi - lo) / (2.0 * eps)
+        fd[i] = (hi - lo) / (2.0 * GRAD_CHECK_EPS)
 
     a = auto.reshape(-1)
     denom = np.maximum(1e-12, np.maximum(np.abs(a), np.abs(fd)))

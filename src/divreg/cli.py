@@ -15,7 +15,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict, astuple, fields
+from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 
 from .config import ConfigError, ExperimentConfig
@@ -57,6 +57,8 @@ def _sha256(path: Path) -> str:
 def _fmt(v) -> str:
     if v is None:
         return ""
+    if isinstance(v, str):
+        return v
     if isinstance(v, bool):
         return str(int(v))
     if isinstance(v, int):
@@ -64,10 +66,16 @@ def _fmt(v) -> str:
     return repr(float(v))
 
 
+def _csv_header(record_type) -> str:
+    return ",".join(f.name for f in fields(record_type)) + "\n"
+
+
+def _csv_row(record) -> str:
+    return ",".join(map(_fmt, astuple(record))) + "\n"
+
+
 def _write_metrics(path: Path, records) -> None:
-    lines = [",".join(f.name for f in fields(EpochRecord))]
-    lines += [",".join(map(_fmt, astuple(r))) for r in records]
-    write_atomic(path, "\n".join(lines) + "\n")
+    write_atomic(path, _csv_header(EpochRecord) + "".join(map(_csv_row, records)))
 
 
 def _load_nonempty(path: Path, field_name: str):
@@ -222,9 +230,19 @@ _ABLATION_CELLS = [
     ("attn_on_both", True, True, True),
 ]
 
-_ABLATION_COLUMNS = ("cell", "attention", "diversity_spatial", "diversity_channel",
-                     "final_test_acc", "final_d_sp", "final_d_ch", "final_d_branch",
-                     "dataset_sha256")
+
+@dataclass
+class AblationRow:
+    """One cell of the ablation grid: an `ablation.csv` row, fields as columns."""
+    cell: str
+    attention: bool
+    diversity_spatial: bool
+    diversity_channel: bool
+    final_test_acc: float
+    final_d_sp: float | None
+    final_d_ch: float | None
+    final_d_branch: float | None
+    dataset_sha256: str
 
 
 def cmd_ablate(args) -> int:
@@ -236,7 +254,7 @@ def cmd_ablate(args) -> int:
     csv_path = out / "ablation.csv"
     rows = []
     with csv_path.open("w") as fh:  # streamed: each finished cell's row is on disk at once
-        fh.write(",".join(_ABLATION_COLUMNS) + "\n")
+        fh.write(_csv_header(AblationRow))
         fh.flush()
         for name, attention, d_sp, d_ch in _ABLATION_CELLS:
             cell_doc = dict(doc)
@@ -247,22 +265,13 @@ def cmd_ablate(args) -> int:
             cfg = ExperimentConfig.from_dict(cell_doc)
             summary = _run_training(cfg, Path(cfg.output_dir), True)
             final = summary["final"]
-            row = {
-                "cell": name,
-                "attention": attention,
-                "diversity_spatial": d_sp,
-                "diversity_channel": d_ch,
-                "final_test_acc": final["test_acc"],
-                "final_d_sp": final["d_sp"],
-                "final_d_ch": final["d_ch"],
-                "final_d_branch": final["d_branch"],
-                "dataset_sha256": summary["dataset_checksums"]["train.dvds"],
-            }
+            row = AblationRow(name, attention, d_sp, d_ch, final["test_acc"], final["d_sp"],
+                              final["d_ch"], final["d_branch"],
+                              summary["dataset_checksums"]["train.dvds"])
             rows.append(row)
-            fh.write(",".join(_fmt(row[c]) if not isinstance(row[c], str) else row[c]
-                              for c in _ABLATION_COLUMNS) + "\n")
+            fh.write(_csv_row(row))
             fh.flush()
-            _say(args.quiet, f"cell {name}: test_acc={final['test_acc']:.4f}")
+            _say(args.quiet, f"cell {name}: test_acc={row.final_test_acc:.4f}")
 
     def cell_num(v):  # D reaches 1e-97 at 15 learners: fixed point would print 0
         return "-" if v is None else f"{v:.3e}"
@@ -272,11 +281,11 @@ def cmd_ablate(args) -> int:
     lines = [header, "-" * len(header)]
     for row in rows:
         lines.append(
-            f"{row['cell']:<18s} {'on' if row['attention'] else 'off':>5s} "
-            f"{'on' if row['diversity_spatial'] else 'off':>5s} "
-            f"{'on' if row['diversity_channel'] else 'off':>5s} "
-            f"{row['final_test_acc']:>9.4f} "
-            f"{cell_num(row['final_d_sp']):>10s} {cell_num(row['final_d_ch']):>10s}")
+            f"{row.cell:<18s} {'on' if row.attention else 'off':>5s} "
+            f"{'on' if row.diversity_spatial else 'off':>5s} "
+            f"{'on' if row.diversity_channel else 'off':>5s} "
+            f"{row.final_test_acc:>9.4f} "
+            f"{cell_num(row.final_d_sp):>10s} {cell_num(row.final_d_ch):>10s}")
     write_atomic(out / "ablation.txt", "\n".join(lines) + "\n")
     _say(args.quiet, f"ablation table in {csv_path}")
     return 0

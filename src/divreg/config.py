@@ -3,6 +3,7 @@ validation errors, so a bad config dies loudly before any compute."""
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, fields
 
 MODEL_FAMILIES = ("ensemble", "dual_branch")
@@ -14,6 +15,10 @@ _FAMILY_KEYS = {"ensemble": ("branch_max", "branch_add_epochs", "diversity_tap")
 # JSON documents use "lambda"; the attribute needs a non-keyword name
 _KEY_TO_ATTR = {"lambda": "lambda_balance"}
 _ATTR_TO_KEY = {v: k for k, v in _KEY_TO_ATTR.items()}
+
+# the largest class count, branch count and image side that a config, a
+# dataset file or a checkpoint may hold, so what `train` writes `eval` reads
+SIZE_LIMIT = 4096
 
 
 class ConfigError(ValueError):
@@ -32,7 +37,8 @@ _JSON_TYPES = {"int": ((int,), "an integer"), "float": ((int, float), "a number"
 
 def check_field_types(cls, values: dict) -> None:
     """Raise ConfigError for a value whose JSON type is not its dataclass
-    field's declared type; null is taken only where the default is None."""
+    field's declared type, or for a number field that is not finite; null
+    is taken only where the default is None."""
     for f in fields(cls):
         if f.name not in values:
             continue
@@ -41,8 +47,12 @@ def check_field_types(cls, values: dict) -> None:
             continue
         base = f.type.split(" | ")[0]  # "str | None" -> "str"
         accepted, words = _JSON_TYPES[base]
+        key = _ATTR_TO_KEY.get(f.name, f.name)
         if not isinstance(value, accepted) or (isinstance(value, bool) and base != "bool"):
-            raise ConfigError(_ATTR_TO_KEY.get(f.name, f.name), f"must be {words}, got {value!r}")
+            raise ConfigError(key, f"must be {words}, got {value!r}")
+        # JSON's Infinity and NaN, and integers past float range, all fail this
+        if base == "float" and not abs(value) <= sys.float_info.max:
+            raise ConfigError(key, f"must be finite, got {value!r}")
 
 
 @dataclass
@@ -72,10 +82,11 @@ class ExperimentConfig:
         if self.model_family not in MODEL_FAMILIES:
             raise ConfigError("model_family",
                               f"must be one of {list(MODEL_FAMILIES)}, got {self.model_family!r}")
-        if self.class_count < 2:
-            raise ConfigError("class_count", f"must be >= 2, got {self.class_count}")
-        if self.branch_max < 1:
-            raise ConfigError("branch_max", f"must be >= 1, got {self.branch_max}")
+        if not 2 <= self.class_count <= SIZE_LIMIT:
+            raise ConfigError("class_count",
+                              f"must be in [2, {SIZE_LIMIT}], got {self.class_count}")
+        if not 1 <= self.branch_max <= SIZE_LIMIT:
+            raise ConfigError("branch_max", f"must be in [1, {SIZE_LIMIT}], got {self.branch_max}")
         if self.branch_add_epochs < 1:
             raise ConfigError("branch_add_epochs",
                               f"must be >= 1, got {self.branch_add_epochs}")

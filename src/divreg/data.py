@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import check_field_types
+from .config import SIZE_LIMIT, check_field_types
 
 IMAGE_SIZE = 32
 DATASET_MAGIC = b"DVDS"
@@ -47,8 +47,8 @@ class GeneratorConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.class_count < 2:
-            raise ValueError(f"class_count must be >= 2, got {self.class_count}")
+        if not 2 <= self.class_count <= SIZE_LIMIT:
+            raise ValueError(f"class_count must be in [2, {SIZE_LIMIT}], got {self.class_count}")
         if self.samples_per_class < 1:
             raise ValueError(f"samples_per_class must be >= 1, got {self.samples_per_class}")
         if not self.noise_sigma >= 0:
@@ -105,15 +105,15 @@ class Dataset:
         return self.images.shape[1:]
 
 
-def class_template(class_index: int, size: int = IMAGE_SIZE) -> np.ndarray:
-    """Deterministic (1,size,size) template: class_index Gaussian bumps at
-    positions fixed by (salt, class); class 0 is blank."""
+def class_template(class_index: int) -> np.ndarray:
+    """Deterministic (1, IMAGE_SIZE, IMAGE_SIZE) template: class_index
+    Gaussian bumps at positions fixed by (salt, class); class 0 is blank."""
     rng = np.random.default_rng(np.random.SeedSequence([_TEMPLATE_SALT, class_index]))
-    yy, xx = np.mgrid[0:size, 0:size].astype(np.float64)
-    img = np.zeros((size, size))
+    yy, xx = np.mgrid[0:IMAGE_SIZE, 0:IMAGE_SIZE].astype(np.float64)
+    img = np.zeros((IMAGE_SIZE, IMAGE_SIZE))
     for _ in range(class_index):
-        cy = rng.uniform(4, size - 4)
-        cx = rng.uniform(4, size - 4)
+        cy = rng.uniform(4, IMAGE_SIZE - 4)
+        cx = rng.uniform(4, IMAGE_SIZE - 4)
         img += 0.9 * np.exp(-((yy - cy) ** 2 + (xx - cx) ** 2) / (2 * 2.5 ** 2))
     return np.clip(img, 0.0, 1.0)[None, :, :]
 
@@ -127,7 +127,7 @@ def generate(config: GeneratorConfig) -> tuple[Dataset, Dataset]:
     splits = [np.empty((k_count, n, 1, size, size))
               for n in (config.samples_per_class - n_test, n_test)]
     for k in range(k_count):
-        template = class_template(k, size)
+        template = class_template(k)
         filled = [0, 0]
         for i in range(config.samples_per_class):
             img = template + rng.normal(0.0, config.noise_sigma, (1, size, size)) \
@@ -190,7 +190,7 @@ def load_dataset(path) -> Dataset:
         raise DatasetFormatError(f"bad magic {magic!r}, expected {DATASET_MAGIC!r}")
     if version != DATASET_VERSION:
         raise DatasetFormatError(f"unsupported dataset version {version}")
-    if class_count < 1 or h < 1 or w < 1 or h > 4096 or w > 4096:
+    if not (1 <= class_count <= SIZE_LIMIT and 1 <= h <= SIZE_LIMIT and 1 <= w <= SIZE_LIMIT):
         raise DatasetFormatError(
             f"implausible header: class_count={class_count}, size={h}x{w}")
     expected = _HEADER_SIZE + 4 * n + 4 * n * h * w

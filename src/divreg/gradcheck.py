@@ -195,8 +195,8 @@ def _check_global_avg_pool(rng):
 
 def _check_attention(rng):
     x = _var(rng.normal(size=(2, 4, 4, 4)) + 0.5)
-    block = AttentionBlock(4, reduction=4, spatial_kernel=3, rng=rng)
-    blocks = [AttentionBlock(4, reduction=4, spatial_kernel=3, rng=rng) for _ in range(3)]
+    block = AttentionBlock(4, spatial_kernel=3, rng=rng)
+    blocks = [AttentionBlock(4, spatial_kernel=3, rng=rng) for _ in range(3)]
     group = stack_learners(blocks)
     stack = _var(rng.normal(size=(3, 2, 4, 4, 4)) + 0.5)
 

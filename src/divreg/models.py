@@ -37,6 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import ShapeMismatch, Tensor, concat, relu, reshape
+from .config import SIZE_LIMIT
 from .data import write_atomic
 from .nn import (AttentionBlock, AttentionMaps, ConvLayer, DenseLayer, Module, add_learner,
                  attention_apply, conv2d, global_avg_pool, linear, stack_learners)
@@ -86,17 +87,18 @@ def _attended_conv(in_channels: int, in_size: int, stride: int, attention: bool,
     from ``rng`` in that order."""
     conv = ConvLayer(in_channels, BRANCH_CHANNELS, 3, stride=stride, padding=1, rng=rng)
     size, _ = conv.out_size(in_size, in_size)
-    attn = (AttentionBlock(BRANCH_CHANNELS, reduction=4, spatial_kernel=_spatial_kernel(size),
-                           rng=rng) if attention else None)
+    attn = (AttentionBlock(BRANCH_CHANNELS, spatial_kernel=_spatial_kernel(size), rng=rng)
+            if attention else None)
     return conv, attn
 
 
 class SharedBase(Module):
-    """Two stride-2 convs with relu; quarters the input resolution."""
+    """Two stride-2 convs with relu over single-channel images (the only
+    kind a `Dataset` holds); quarters the input resolution."""
 
-    def __init__(self, in_channels: int, input_size: int, rng):
+    def __init__(self, input_size: int, rng):
         c1, c2 = BASE_CHANNELS
-        self.conv1 = ConvLayer(in_channels, c1, 3, stride=2, padding=1, rng=rng)
+        self.conv1 = ConvLayer(1, c1, 3, stride=2, padding=1, rng=rng)
         self.conv2 = ConvLayer(c1, c2, 3, stride=2, padding=1, rng=rng)
         self.out_channels = c2
         s1, _ = self.conv1.out_size(input_size, input_size)
@@ -185,7 +187,7 @@ def build_ensemble(class_count: int, branch_max: int = 3, attention_enabled: boo
         raise ValueError(f"initial_branches must be in [1, {branch_max}], got {initial_branches}")
     if input_size < 4:
         raise ValueError(f"input_size must be >= 4, got {input_size}")
-    model = EnsembleModel(base=SharedBase(1, input_size, _stream(seed, 0)), branches=[],
+    model = EnsembleModel(base=SharedBase(input_size, _stream(seed, 0)), branches=[],
                           class_count=class_count, branch_max=branch_max,
                           attention_enabled=attention_enabled, seed=seed, input_size=input_size)
     for _ in range(initial_branches):
@@ -265,7 +267,7 @@ class DualBranchModel:
         self.input_size = input_size
         self.lambda_balance = lambda_balance
 
-        self.backbone = SharedBase(1, input_size, _stream(seed, 0))
+        self.backbone = SharedBase(input_size, _stream(seed, 0))
         size = self.backbone.out_size
         if size % 2:
             raise ValueError(f"backbone output {size}x{size} cannot be patchified")
@@ -353,11 +355,11 @@ def load_checkpoint(path):
         raise CheckpointFormatError(f"unsupported checkpoint version {version}")
     if family not in (FAMILY_ENSEMBLE, FAMILY_DUAL):
         raise CheckpointFormatError(f"unknown model family tag {family}")
-    if not 2 <= class_count <= 4096:
+    if not 2 <= class_count <= SIZE_LIMIT:
         raise CheckpointFormatError(f"implausible class count {class_count}")
-    if not 4 <= input_size <= 4096:
+    if not 4 <= input_size <= SIZE_LIMIT:
         raise CheckpointFormatError(f"implausible input size {input_size}")
-    if not 1 <= count <= cap <= 4096:
+    if not 1 <= count <= cap <= SIZE_LIMIT:
         raise CheckpointFormatError(f"implausible branch counts {count}/{cap}")
     attention = bool(flags & 1)
 

@@ -369,18 +369,20 @@ class AttentionMaps:
     spatial_map: Tensor
 
 
-class AttentionBlock(Module):
-    """CBAM-style block: shared two-layer MLP over avg/max channel
-    descriptors, then a small conv over stacked avg/max spatial maps."""
+ATTENTION_REDUCTION = 4  # channels per hidden unit of the attention MLP
 
-    def __init__(self, channels: int, reduction: int = 4, spatial_kernel: int = 7, *,
-                 rng: np.random.Generator):
-        if channels % reduction != 0:
-            raise ValueError(f"attention: channels {channels} not divisible by reduction {reduction}")
+
+class AttentionBlock(Module):
+    """CBAM-style block: shared two-layer MLP (channels -> channels /
+    ATTENTION_REDUCTION -> channels) over avg/max channel descriptors, then
+    a small conv over stacked avg/max spatial maps."""
+
+    def __init__(self, channels: int, spatial_kernel: int = 7, *, rng: np.random.Generator):
+        if channels % ATTENTION_REDUCTION:
+            raise ValueError(f"attention: channels {channels} not divisible by {ATTENTION_REDUCTION}")
         self.channels = channels
-        self.reduction = reduction
-        self.fc1 = DenseLayer(channels, channels // reduction, rng, gain="relu")
-        self.fc2 = DenseLayer(channels // reduction, channels, rng, gain="linear")
+        self.fc1 = DenseLayer(channels, channels // ATTENTION_REDUCTION, rng, gain="relu")
+        self.fc2 = DenseLayer(channels // ATTENTION_REDUCTION, channels, rng, gain="linear")
         self.spatial_conv = ConvLayer(2, 1, spatial_kernel, stride=1,
                                       padding=(spatial_kernel - 1) // 2, rng=rng)
 

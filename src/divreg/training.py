@@ -37,7 +37,8 @@ pass, `evaluate`) runs under `no_grad` and records no tape.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -49,36 +50,46 @@ from .models import (DualBranchModel, EnsembleModel, add_branch, dual_predict,
                      ensemble_predict)
 from .nn import softmax_cross_entropy
 
+EVAL_BATCH_SIZE = 64  # images per forward of `evaluate`
+
 
 class NonFiniteLossError(RuntimeError):
-    """Loss went NaN or infinite; message names epoch, batch, components."""
+    """Loss went NaN or infinite; message names epoch, batch and each part
+    the step computed, in `LossBreakdown`'s field order."""
 
     def __init__(self, epoch: int, batch_index: int, breakdown: "LossBreakdown"):
         self.epoch = epoch
         self.batch_index = batch_index
         self.breakdown = breakdown
-        parts = [f"total={breakdown.total}", f"classification={breakdown.classification}"]
-        for name in ("d_sp", "d_ch", "d_branch"):
-            v = getattr(breakdown, name)
-            if v is not None:
-                parts.append(f"{name}={v}")
-        super().__init__(
-            f"non-finite loss at epoch {epoch + 1}, batch {batch_index}: " + ", ".join(parts))
+        parts = ", ".join(f"{name}={v}" for name, v in breakdown.parts().items()
+                          if v is not None)
+        super().__init__(f"non-finite loss at epoch {epoch + 1}, batch {batch_index}: {parts}")
 
 
 @dataclass
 class LossBreakdown:
-    classification: float
+    """One step's loss parts, a D the step did not compute None. An
+    epoch's `EpochRecord` holds each part's mean, under the name a part's
+    ``column`` metadata gives or else its own."""
+    classification: float = field(metadata={"column": "loss_cls"})
     d_sp: float | None
     d_ch: float | None
     d_branch: float | None
-    total: float
-    # the step's combined predictions (vote or mix), not a loss term
+    total: float = field(metadata={"column": "loss_total"})
+    # the step's combined predictions (vote or mix), not a loss part
     predictions: np.ndarray | None = field(default=None, repr=False, compare=False)
 
+    def parts(self) -> dict:
+        """Each loss part by name, in field order."""
+        return {name: getattr(self, name) for name in _LOSS_PARTS}
+
     def finite(self) -> bool:
-        vals = [self.total, self.classification, self.d_sp, self.d_ch, self.d_branch]
-        return all(np.isfinite(v) for v in vals if v is not None)
+        return all(v is None or math.isfinite(v) for v in self.parts().values())
+
+
+# LossBreakdown's loss parts and the EpochRecord field each one's mean goes to
+_LOSS_PARTS = {f.name: f.metadata.get("column", f.name)
+               for f in fields(LossBreakdown) if f.name != "predictions"}
 
 
 def _storage(params) -> list:
@@ -316,7 +327,7 @@ def _predict(model, dataset, batch_size: int):
     return np.concatenate(preds), np.concatenate(branch_preds, axis=1)
 
 
-def predict_dataset(model, dataset, batch_size: int = 64) -> np.ndarray:
+def predict_dataset(model, dataset, batch_size: int = EVAL_BATCH_SIZE) -> np.ndarray:
     return _predict(model, dataset, batch_size)[0]
 
 
@@ -328,13 +339,14 @@ def accuracy(predictions: np.ndarray, labels: np.ndarray) -> float:
     return float((predictions == labels).mean())
 
 
-def evaluate(model, dataset, batch_size: int = 64) -> EvalReport:
-    """Overall (vote / mixed) accuracy plus per-class and per-branch.
+def evaluate(model, dataset) -> EvalReport:
+    """Overall (vote / mixed) accuracy plus per-class and per-branch, over
+    batches of EVAL_BATCH_SIZE.
 
     Per-branch means each ensemble branch's own argmax; for the dual
     model it is [local head, global head].
     """
-    predictions, branch_preds = _predict(model, dataset, batch_size)
+    predictions, branch_preds = _predict(model, dataset, EVAL_BATCH_SIZE)
     labels = dataset.labels
     per_class: list[float | None] = []
     for k in range(dataset.class_count):
@@ -381,10 +393,7 @@ def train(model, train_set, test_set, config) -> TrainResult:
             train_acc=hits / len(train_set),
             test_acc=accuracy(predict_dataset(model, test_set, config.batch_size),
                               test_set.labels),
-            loss_total=float(np.mean([s.total for s in steps])),
-            loss_cls=float(np.mean([s.classification for s in steps])),
-            d_sp=_mean_or_none([s.d_sp for s in steps]),
-            d_ch=_mean_or_none([s.d_ch for s in steps]),
-            d_branch=_mean_or_none([s.d_branch for s in steps]),
+            **{column: _mean_or_none([getattr(s, part) for s in steps])
+               for part, column in _LOSS_PARTS.items()},
         ))
     return TrainResult(records=records, add_checks=add_checks)

@@ -12,7 +12,7 @@ import pytest
 
 from divreg import cli, data, gradcheck
 from divreg.cli import _build_model, _parser, main
-from divreg.config import ExperimentConfig
+from divreg.config import SIZE_LIMIT, ExperimentConfig
 from divreg.data import GeneratorConfig, load_dataset
 from divreg.models import load_checkpoint
 from divreg.training import EpochRecord, resolved_gammas
@@ -349,6 +349,36 @@ def test_wrong_json_type_exits_2(tmp_path, data_dir, capsys, monkeypatch, base, 
     words = "(an integer|a number|true or false|a string)"
     assert re.search(f"config field '{key}': must be {words}, got", capsys.readouterr().err)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+@pytest.mark.parametrize("command,key,text", [
+    ("train", "learning_rate", "Infinity"),
+    ("train", "gamma", "Infinity"),
+    ("train", "momentum", "NaN"),
+    ("gen-data", "noise_sigma", "-Infinity"),
+])
+def test_non_finite_number_exits_2(tmp_path, data_dir, capsys, monkeypatch, command, key, text):
+    # Python's json reads these tokens; a config holding one is rejected
+    # before it writes anything
+    monkeypatch.chdir(tmp_path)
+    doc = GEN if command == "gen-data" else dict(TRAIN, dataset_path=str(data_dir), epochs=1,
+                                                 branch_max=1)
+    cfg = write_json(tmp_path / "config.json", dict(doc, **{key: float(text)}))
+    assert f'"{key}": {text}' in Path(cfg).read_text()
+    assert main([command, "--config", cfg, "--quiet"]) == 2
+    assert f"config field '{key}': must be finite" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+def test_largest_branch_cap_trains_and_evaluates(tmp_path, data_dir):
+    # a checkpoint of the largest branch cap a config takes loads in eval
+    doc = dict(TRAIN, dataset_path=str(data_dir), epochs=1, branch_max=SIZE_LIMIT)
+    cfg = write_json(tmp_path / "train.json", doc)
+    out = tmp_path / "out"
+    assert main(["train", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    assert main(["eval", "--checkpoint", str(out / "model.dvrg"), "--dataset", str(data_dir),
+                 "--out", str(out), "--quiet"]) == 0
+    assert load_checkpoint(out / "model.dvrg").branch_max == SIZE_LIMIT
 
 
 def test_bad_config_exits_2(tmp_path, capsys):

@@ -1,8 +1,10 @@
 """Experiment configuration parsing and validation."""
 
+from dataclasses import fields
+
 import pytest
 
-from divreg.config import ConfigError, ExperimentConfig
+from divreg.config import SIZE_LIMIT, ConfigError, ExperimentConfig
 from divreg.data import GeneratorConfig
 
 
@@ -96,6 +98,34 @@ def test_range_validation(field, value):
     family = "dual_branch" if field == "pool_op" else "ensemble"
     with pytest.raises(ConfigError, match=f"'{field}': must"):
         ExperimentConfig.from_dict({"model_family": family, field: value})
+
+
+@pytest.mark.parametrize("field", ["class_count", "branch_max"])
+def test_counts_capped_at_the_size_limit(field):
+    cfg = ExperimentConfig.from_dict({"model_family": "ensemble", field: SIZE_LIMIT})
+    assert getattr(cfg, field) == SIZE_LIMIT
+    with pytest.raises(ConfigError, match=f"'{field}': must be in .*, got {SIZE_LIMIT + 1}"):
+        ExperimentConfig.from_dict({"model_family": "ensemble", field: SIZE_LIMIT + 1})
+
+
+# every number field of both configs, as (config class, JSON key)
+_FLOAT_FIELDS = [(cls, {"lambda_balance": "lambda"}.get(f.name, f.name))
+                 for cls in (ExperimentConfig, GeneratorConfig)
+                 for f in fields(cls) if f.type.startswith("float")]
+
+
+def test_float_fields_listed():
+    assert [key for _, key in _FLOAT_FIELDS] == [
+        "diversity_weight", "gamma", "lambda", "learning_rate", "momentum",
+        "noise_sigma", "occlusion_prob"]
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan"), 10 ** 400])
+@pytest.mark.parametrize("cls,key", _FLOAT_FIELDS)
+def test_non_finite_numbers_rejected(cls, key, value):
+    doc = {"model_family": "dual_branch"} if cls is ExperimentConfig else {}
+    with pytest.raises(ConfigError, match=f"'{key}': must be finite, got"):
+        cls.from_dict(dict(doc, **{key: value}))
 
 
 def test_ensemble_only_ranges():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from divreg.config import SIZE_LIMIT
 from divreg.data import (Dataset, DatasetFormatError, GeneratorConfig, batches,
                          class_template, generate, load_dataset,
                          nearest_template, save_dataset, write_atomic)
@@ -18,6 +19,8 @@ def test_generator_config_defaults_and_validation():
     assert cfg.noise_sigma == 0.05
     with pytest.raises(ValueError):
         GeneratorConfig(class_count=1)
+    with pytest.raises(ValueError):
+        GeneratorConfig(class_count=SIZE_LIMIT + 1)
     with pytest.raises(ValueError):
         GeneratorConfig(samples_per_class=0)
     with pytest.raises(ValueError):
@@ -78,7 +81,6 @@ def test_class_template_deterministic_bumps():
     assert 0.0 <= t3.min() and t3.max() <= 1.0
     np.testing.assert_array_equal(t3, class_template(3))
     assert not np.array_equal(t3, class_template(4))
-    assert class_template(2, size=8).shape == (1, 8, 8)
 
 
 def test_generate_split_and_shapes():
@@ -211,6 +213,13 @@ def test_dataset_format_errors(tmp_path):
     bad.write_bytes(raw + b"\x00")
     with pytest.raises(DatasetFormatError, match="trailing"):
         load_dataset(bad)
+
+    for offset in (8, 16, 20):  # class count, height, width past the size limit
+        oversized = bytearray(raw)
+        oversized[offset:offset + 4] = (SIZE_LIMIT + 1).to_bytes(4, "little")
+        bad.write_bytes(bytes(oversized))
+        with pytest.raises(DatasetFormatError, match="implausible header"):
+            load_dataset(bad)
 
     relabeled = bytearray(raw)
     relabeled[24:28] = (99).to_bytes(4, "little")  # first label out of range

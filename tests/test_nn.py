@@ -235,8 +235,8 @@ def test_global_avg_pool_shapes():
 
 def test_attention_block_validation_and_params():
     with pytest.raises(ValueError):
-        AttentionBlock(6, reduction=4, rng=np.random.default_rng(0))
-    block = AttentionBlock(8, reduction=4, spatial_kernel=3, rng=np.random.default_rng(0))
+        AttentionBlock(6, rng=np.random.default_rng(0))
+    block = AttentionBlock(8, spatial_kernel=3, rng=np.random.default_rng(0))
     assert len(block.parameters()) == 6
     assert block.fc1.weights.data.shape == (8, 2)
     assert block.fc2.weights.data.shape == (2, 8)
@@ -271,7 +271,7 @@ def test_module_parameters_follow_assignment_order_and_skip_switched_off_layers(
 
 def test_attention_apply_shapes_and_ranges():
     rng = np.random.default_rng(1)
-    block = AttentionBlock(4, reduction=4, spatial_kernel=3, rng=rng)
+    block = AttentionBlock(4, spatial_kernel=3, rng=rng)
     x = rng.normal(size=(2, 4, 6, 6))
     refined, maps = attention_apply(Tensor(x), block)
     assert refined.data.shape == x.shape
@@ -282,7 +282,7 @@ def test_attention_apply_shapes_and_ranges():
 
 
 def test_attention_apply_rejects_channel_mismatch():
-    block = AttentionBlock(4, reduction=2, spatial_kernel=3, rng=np.random.default_rng(0))
+    block = AttentionBlock(4, spatial_kernel=3, rng=np.random.default_rng(0))
     with pytest.raises(ShapeMismatch):
         attention_apply(Tensor(np.zeros((2, 3, 5, 5))), block)
     with pytest.raises(ShapeMismatch):  # batched input only
@@ -291,8 +291,7 @@ def test_attention_apply_rejects_channel_mismatch():
 
 def test_attention_gating_is_multiplicative():
     # zero input stays zero through both gates
-    block = AttentionBlock(4, reduction=2, spatial_kernel=3,
-                           rng=np.random.default_rng(5))
+    block = AttentionBlock(4, spatial_kernel=3, rng=np.random.default_rng(5))
     refined, _ = attention_apply(Tensor(np.zeros((1, 4, 4, 4))), block)
     np.testing.assert_array_equal(refined.data, np.zeros((1, 4, 4, 4)))
 
@@ -323,7 +322,7 @@ def _grouped_case(case, learners, rng):
         layers = [DenseLayer(7, 3, rng=rng) for _ in range(learners)]
         return layers, rng.normal(size=(learners, 5, 7)), False, \
             lambda x, g: [linear(x, g)], lambda x, l: [learner_linear(x, l)]
-    layers = [AttentionBlock(8, reduction=4, spatial_kernel=3, rng=rng) for _ in range(learners)]
+    layers = [AttentionBlock(8, spatial_kernel=3, rng=rng) for _ in range(learners)]
 
     def run(op):
         def apply(x, block):

@@ -15,8 +15,8 @@ from divreg.models import (DualBranchModel, EnsembleModel, build_dual_branch, bu
                            dual_predict, ensemble_predict)
 from divreg.nn import (attention_apply, conv2d, global_avg_pool, linear,
                        softmax_cross_entropy)
-from divreg.training import (SGD, EpochRecord, LossBreakdown, NonFiniteLossError,
-                             _checked_add, _dual_step, _ensemble_step, esr_loss,
+from divreg.training import (EVAL_BATCH_SIZE, SGD, EpochRecord, LossBreakdown,
+                             NonFiniteLossError, _checked_add, _dual_step, _ensemble_step, esr_loss,
                              evaluate, manet_loss, predict_dataset, resolved_gammas, train)
 
 
@@ -325,16 +325,39 @@ def test_penalty_gradient_direction():
 
 def test_loss_breakdown_finite():
     assert LossBreakdown(1.0, 0.1, None, None, 1.0).finite()
+    assert LossBreakdown(1.0, 0.1, 0.2, 0.3, 0.4).finite()
     assert not LossBreakdown(float("nan"), 0.1, None, None, 1.0).finite()
     assert not LossBreakdown(1.0, float("inf"), None, None, 1.0).finite()
 
 
+_PART_NAMES = ("classification", "d_sp", "d_ch", "d_branch", "total")
+
+
+def test_loss_breakdown_parts_are_its_fields_but_predictions():
+    bd = LossBreakdown(1.0, 0.1, 0.2, None, 0.7, predictions=np.zeros(3))
+    assert bd.parts() == dict(zip(_PART_NAMES, (1.0, 0.1, 0.2, None, 0.7)))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("part", _PART_NAMES)
+def test_each_non_finite_part_is_caught_and_named(part, bad):
+    values = dict(zip(_PART_NAMES, (1.0, 0.1, 0.2, 0.3, 0.4)))
+    values[part] = bad
+    bd = LossBreakdown(**values)
+    assert not bd.finite()
+    err = NonFiniteLossError(3, 7, bd)
+    assert err.epoch == 3 and err.batch_index == 7 and err.breakdown is bd
+    assert "epoch 4" in str(err) and "batch 7" in str(err)
+    assert f"{part}={bad}" in str(err)
+    # the finite parts are named beside it, in field order
+    assert str(err).endswith(", ".join(f"{k}={v}" for k, v in values.items()))
+
+
 def test_non_finite_error_message():
     bd = LossBreakdown(float("inf"), 0.5, None, None, float("inf"))
-    err = NonFiniteLossError(3, 7, bd)
-    assert err.epoch == 3 and err.batch_index == 7
-    assert "epoch 4" in str(err) and "batch 7" in str(err)
-    assert "d_sp=0.5" in str(err)
+    msg = str(NonFiniteLossError(3, 7, bd))
+    assert msg.endswith("classification=inf, d_sp=0.5, total=inf")
+    assert "d_ch" not in msg and "d_branch" not in msg
 
 
 def test_growth_schedule_trajectory():
@@ -506,7 +529,7 @@ def test_inference_records_no_tape(family, monkeypatch):
                                       **({"diversity_tap": "all"} if family == "ensemble"
                                          else {})})
     ds = tiny_dataset(20, seed=5)
-    expected = taped_report(model, ds, batch_size=8)
+    expected = taped_report(model, ds, batch_size=EVAL_BATCH_SIZE)
 
     taped = []
     from_op = Tensor.from_op.__func__
@@ -518,7 +541,7 @@ def test_inference_records_no_tape(family, monkeypatch):
         return out
 
     monkeypatch.setattr(Tensor, "from_op", classmethod(counting_from_op))
-    report = evaluate(model, ds, batch_size=8)
+    report = evaluate(model, ds)
     predict_dataset(model, ds, batch_size=8)
     resolved_gammas(model, ds.images[:1], cfg)
     if family == "ensemble":
