@@ -1,10 +1,12 @@
-"""Experiment configuration: JSON-friendly parsing with field-naming
-validation errors, so a bad config dies loudly before any compute."""
+"""Config documents of `train`/`ablate` and `gen-data`: one parse from JSON
+and one check of the values each dataclass field declares, so a bad config
+dies loudly, naming the field, before any compute."""
 
 from __future__ import annotations
 
+import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 MODEL_FAMILIES = ("ensemble", "dual_branch")
 
@@ -13,12 +15,15 @@ _FAMILY_KEYS = {"ensemble": ("branch_max", "branch_add_epochs", "diversity_tap")
                 "dual_branch": ("lambda", "pool_op")}
 
 # JSON documents use "lambda"; the attribute needs a non-keyword name
-_KEY_TO_ATTR = {"lambda": "lambda_balance"}
-_ATTR_TO_KEY = {v: k for k, v in _KEY_TO_ATTR.items()}
+_ATTR_TO_KEY = {"lambda_balance": "lambda"}
 
 # the largest class count, branch count and image side that a config, a
 # dataset file or a checkpoint may hold, so what `train` writes `eval` reads
 SIZE_LIMIT = 4096
+
+# the most images (class_count x samples_per_class) a generator config may
+# ask for; `generate` holds them as float64, about 512 MiB at the cap
+SAMPLE_LIMIT = 65536
 
 
 class ConfigError(ValueError):
@@ -29,90 +34,103 @@ class ConfigError(ValueError):
         super().__init__(f"config field '{field_name}': {message}")
 
 
+def in_range(default, lo, hi=math.inf, *, lo_open=False, hi_open=False):
+    """A config field whose values lie between ``lo`` and ``hi``; an open end
+    excludes its bound. Both comparisons fail for NaN."""
+    def admits(value):
+        return (lo < value if lo_open else lo <= value) and \
+            (value < hi if hi_open else value <= hi)
+    if hi == math.inf:
+        words = f"{'>' if lo_open else '>='} {lo}"
+    else:
+        words = f"in {'(' if lo_open else '['}{lo}, {hi}{')' if hi_open else ']'}"
+    return field(default=default, metadata={"admits": admits, "words": words})
+
+
+def one_of(choices, default=MISSING):
+    """A config field whose value is one of ``choices``."""
+    return field(default=default, metadata={"admits": lambda value: value in choices,
+                                            "words": f"one of {list(choices)}"})
+
+
+def check_allowed(config) -> None:
+    """Raise ConfigError for the first field, in declaration order, whose
+    value lies outside what the field declares (`in_range`, `one_of`);
+    None passes where it is the default."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if "admits" in f.metadata and not (value is None and f.default is None) \
+                and not f.metadata["admits"](value):
+            raise ConfigError(_ATTR_TO_KEY.get(f.name, f.name),
+                              f"must be {f.metadata['words']}, got {value!r}")
+
+
 # JSON types each declared field type takes; bool is an int subclass in
 # Python, so it is rejected by name wherever it is not the declared type
 _JSON_TYPES = {"int": ((int,), "an integer"), "float": ((int, float), "a number"),
                "bool": ((bool,), "true or false"), "str": ((str,), "a string")}
 
 
-def check_field_types(cls, values: dict) -> None:
-    """Raise ConfigError for a value whose JSON type is not its dataclass
-    field's declared type, or for a number field that is not finite; null
-    is taken only where the default is None."""
-    for f in fields(cls):
-        if f.name not in values:
+def parse_fields(cls, doc: dict, forbidden: dict | None = None) -> dict:
+    """Constructor arguments of config dataclass ``cls`` from the JSON
+    document ``doc``. Raises ConfigError naming, in this order: a key that
+    is no field's (the first such key sorted), a missing field that has no
+    default, a key of ``forbidden`` (with its message), then, in field
+    order, a value whose JSON type is not the field's declared type or a
+    number that is not finite. null is taken only where the default is
+    None. Allowed values are left to `check_allowed`."""
+    by_key = {_ATTR_TO_KEY.get(f.name, f.name): f for f in fields(cls)}
+    unknown = sorted(set(doc) - set(by_key))
+    if unknown:
+        raise ConfigError(unknown[0], "unknown field")
+    for key, f in by_key.items():
+        if f.default is MISSING and key not in doc:
+            raise ConfigError(key, "required")
+    for key, message in (forbidden or {}).items():
+        if key in doc:
+            raise ConfigError(key, message)
+    kwargs = {}
+    for key, f in by_key.items():
+        if key not in doc:
             continue
-        value = values[f.name]
+        value = kwargs[f.name] = doc[key]
         if value is None and f.default is None:
             continue
         base = f.type.split(" | ")[0]  # "str | None" -> "str"
         accepted, words = _JSON_TYPES[base]
-        key = _ATTR_TO_KEY.get(f.name, f.name)
         if not isinstance(value, accepted) or (isinstance(value, bool) and base != "bool"):
             raise ConfigError(key, f"must be {words}, got {value!r}")
         # JSON's Infinity and NaN, and integers past float range, all fail this
         if base == "float" and not abs(value) <= sys.float_info.max:
             raise ConfigError(key, f"must be finite, got {value!r}")
+    return kwargs
 
 
 @dataclass
 class ExperimentConfig:
-    model_family: str
-    class_count: int = 8
-    branch_max: int = 3
-    branch_add_epochs: int = 2
+    model_family: str = one_of(MODEL_FAMILIES)
+    class_count: int = in_range(8, 2, SIZE_LIMIT)
+    branch_max: int = in_range(3, 1, SIZE_LIMIT)
+    branch_add_epochs: int = in_range(2, 1)
     attention_enabled: bool = True
     diversity_spatial: bool = True
     diversity_channel: bool = True
-    diversity_weight: float = 1.0
-    gamma: float | None = None  # None means auto (1 / pooled length)
-    lambda_balance: float = 0.6
-    epochs: int = 10
-    batch_size: int = 32
-    learning_rate: float = 0.01
-    momentum: float = 0.9
-    seed: int = 0
+    diversity_weight: float = in_range(1.0, 0)
+    gamma: float | None = in_range(None, 0, lo_open=True)  # None means auto (1 / pooled length)
+    lambda_balance: float = in_range(0.6, 0, 1)
+    epochs: int = in_range(10, 1)
+    batch_size: int = in_range(32, 1)
+    learning_rate: float = in_range(0.01, 0, lo_open=True)
+    momentum: float = in_range(0.9, 0, 1, hi_open=True)
+    seed: int = in_range(0, 0, 2 ** 64, hi_open=True)
     dataset_path: str | None = None
     output_dir: str = "out"
-    diversity_tap: str = "last"  # ensemble: "last" or "all" attended layers
-    pool_op: str = "mean"  # dual: "mean" or "max" pooling of the patch paths
+    diversity_tap: str = one_of(("last", "all"), "last")  # ensemble: attended layers tapped
+    pool_op: str = one_of(("mean", "max"), "mean")  # dual: pooling of the patch paths
     normalize_features: bool = False  # unit-norm pooled rows before similarity
 
     def __post_init__(self):
-        if self.model_family not in MODEL_FAMILIES:
-            raise ConfigError("model_family",
-                              f"must be one of {list(MODEL_FAMILIES)}, got {self.model_family!r}")
-        if not 2 <= self.class_count <= SIZE_LIMIT:
-            raise ConfigError("class_count",
-                              f"must be in [2, {SIZE_LIMIT}], got {self.class_count}")
-        if not 1 <= self.branch_max <= SIZE_LIMIT:
-            raise ConfigError("branch_max", f"must be in [1, {SIZE_LIMIT}], got {self.branch_max}")
-        if self.branch_add_epochs < 1:
-            raise ConfigError("branch_add_epochs",
-                              f"must be >= 1, got {self.branch_add_epochs}")
-        if not self.diversity_weight >= 0:
-            raise ConfigError("diversity_weight",
-                              f"must be non-negative, got {self.diversity_weight}")
-        if self.gamma is not None and not self.gamma > 0:
-            raise ConfigError("gamma", f"must be positive or \"auto\", got {self.gamma}")
-        if not 0.0 <= self.lambda_balance <= 1.0:
-            raise ConfigError("lambda", f"must be in [0, 1], got {self.lambda_balance}")
-        if self.epochs < 1:
-            raise ConfigError("epochs", f"must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size", f"must be >= 1, got {self.batch_size}")
-        if not self.learning_rate > 0:
-            raise ConfigError("learning_rate",
-                              f"must be positive, got {self.learning_rate}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ConfigError("momentum", f"must be in [0, 1), got {self.momentum}")
-        if not 0 <= self.seed < 2 ** 64:
-            raise ConfigError("seed", f"must be an unsigned 64-bit integer, got {self.seed}")
-        if self.diversity_tap not in ("last", "all"):
-            raise ConfigError("diversity_tap",
-                              f"must be 'last' or 'all', got {self.diversity_tap!r}")
-        if self.pool_op not in ("mean", "max"):
-            raise ConfigError("pool_op", f"must be 'mean' or 'max', got {self.pool_op!r}")
+        check_allowed(self)
         if (self.model_family == "ensemble" and not self.attention_enabled
                 and (self.diversity_spatial or self.diversity_channel)):
             raise ConfigError("attention_enabled",
@@ -121,24 +139,15 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        """Parse a JSON document; rejects unknown fields and combinations
-        that contradict the model family."""
-        known_keys = {_ATTR_TO_KEY.get(f.name, f.name) for f in fields(cls)}
-        unknown = set(doc) - known_keys
-        if unknown:
-            raise ConfigError(sorted(unknown)[0], "unknown field")
-        if "model_family" not in doc:
-            raise ConfigError("model_family", "required")
-        family = doc["model_family"]
-        for owner, keys in _FAMILY_KEYS.items():
-            for key in keys:
-                if key in doc and family in MODEL_FAMILIES and family != owner:
-                    raise ConfigError(key, f"only meaningful for model_family {owner}")
-        kwargs = {_KEY_TO_ATTR.get(key, key): value for key, value in doc.items()}
-        if kwargs.get("gamma") == "auto":
-            kwargs["gamma"] = None
-        check_field_types(cls, kwargs)
-        return cls(**kwargs)
+        """Parse a JSON document (`parse_fields`); also rejects keys of the
+        other model family, and reads gamma "auto" as None."""
+        family = doc.get("model_family")
+        forbidden = {key: f"only meaningful for model_family {owner}"
+                     for owner, keys in _FAMILY_KEYS.items()
+                     if family in MODEL_FAMILIES and family != owner for key in keys}
+        if doc.get("gamma") == "auto":
+            doc = dict(doc, gamma=None)
+        return cls(**parse_fields(cls, doc, forbidden))
 
     def to_dict(self) -> dict:
         """Echo of the config, defaults filled in; omits keys the model

@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .config import SIZE_LIMIT, check_field_types
+from .config import (SAMPLE_LIMIT, SIZE_LIMIT, ConfigError, check_allowed, in_range,
+                     parse_fields)
 
 IMAGE_SIZE = 32
 DATASET_MAGIC = b"DVDS"
@@ -39,36 +40,25 @@ class DatasetFormatError(ValueError):
 
 @dataclass(frozen=True)
 class GeneratorConfig:
-    class_count: int = 8
-    samples_per_class: int = 100
-    noise_sigma: float = 0.05
-    occlusion_prob: float = 0.3
-    occlusion_size: int = 8
-    seed: int = 0
+    class_count: int = in_range(8, 2, SIZE_LIMIT)
+    samples_per_class: int = in_range(100, 1)
+    noise_sigma: float = in_range(0.05, 0)
+    occlusion_prob: float = in_range(0.3, 0, 1)
+    occlusion_size: int = in_range(8, 0, IMAGE_SIZE, hi_open=True)
+    seed: int = in_range(0, 0, 2 ** 64, hi_open=True)
 
     def __post_init__(self):
-        if not 2 <= self.class_count <= SIZE_LIMIT:
-            raise ValueError(f"class_count must be in [2, {SIZE_LIMIT}], got {self.class_count}")
-        if self.samples_per_class < 1:
-            raise ValueError(f"samples_per_class must be >= 1, got {self.samples_per_class}")
-        if not self.noise_sigma >= 0:
-            raise ValueError(f"noise_sigma must be non-negative, got {self.noise_sigma}")
-        if not 0.0 <= self.occlusion_prob <= 1.0:
-            raise ValueError(f"occlusion_prob must be in [0, 1], got {self.occlusion_prob}")
-        if not 0 <= self.occlusion_size < IMAGE_SIZE:
-            raise ValueError(
-                f"occlusion_size must be in [0, {IMAGE_SIZE}), got {self.occlusion_size}")
-        if not 0 <= self.seed < 2 ** 64:
-            raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
+        check_allowed(self)
+        if self.class_count * self.samples_per_class > SAMPLE_LIMIT:
+            raise ConfigError("samples_per_class",
+                              f"must be <= {SAMPLE_LIMIT // self.class_count} for "
+                              f"{self.class_count} classes ({SAMPLE_LIMIT} images in all), "
+                              f"got {self.samples_per_class}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "GeneratorConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(doc) - known
-        if unknown:
-            raise ValueError(f"unknown generator config field {sorted(unknown)[0]!r}")
-        check_field_types(cls, doc)
-        return cls(**doc)
+        """Parse a JSON document (`config.parse_fields`)."""
+        return cls(**parse_fields(cls, doc))
 
 
 class Dataset:
@@ -181,6 +171,9 @@ def save_dataset(dataset: Dataset, path) -> None:
 
 
 def load_dataset(path) -> Dataset:
+    """Read a DVDS file. A bad header or length, or contents `Dataset`
+    rejects (a label out of range, a pixel outside [0, 1]), raise
+    DatasetFormatError."""
     buf = Path(path).read_bytes()
     if len(buf) < _HEADER_SIZE:
         raise DatasetFormatError(
@@ -200,9 +193,6 @@ def load_dataset(path) -> Dataset:
     if len(buf) > expected:
         raise DatasetFormatError(f"{len(buf) - expected} trailing bytes after image data")
     labels = np.frombuffer(buf, dtype="<u4", count=n, offset=_HEADER_SIZE).astype(np.int64)
-    if labels.size and labels.max() >= class_count:
-        raise DatasetFormatError(
-            f"label {int(labels.max())} out of range for {class_count} classes")
     images = np.frombuffer(buf, dtype="<f4", count=n * h * w,
                            offset=_HEADER_SIZE + 4 * n)
     images = images.astype(np.float64).reshape(n, 1, h, w)

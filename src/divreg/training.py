@@ -50,7 +50,7 @@ from .models import (DualBranchModel, EnsembleModel, add_branch, dual_predict,
                      ensemble_predict)
 from .nn import softmax_cross_entropy
 
-EVAL_BATCH_SIZE = 64  # images per forward of `evaluate`
+EVAL_BATCH_SIZE = 64  # images per forward of `evaluate` and the per-epoch held-out pass
 
 
 class NonFiniteLossError(RuntimeError):
@@ -307,13 +307,12 @@ def _checked_add(model: EnsembleModel, probe_images, epoch: int) -> BranchAddChe
 
 
 @no_grad()
-def _predict(model, dataset, batch_size: int):
-    """Combined predictions over the dataset and each branch's own argmax,
-    one row per branch: the ensemble's branches, or [local head, global
-    head] of the dual model."""
-    bs = min(batch_size, len(dataset))
+def _predict(model, dataset):
+    """Combined predictions over the dataset, in batches of EVAL_BATCH_SIZE,
+    and each branch's own argmax, one row per branch: the ensemble's
+    branches, or [local head, global head] of the dual model."""
     preds, branch_preds = [], []
-    for xb, _ in batches(dataset, bs, shuffle_seed=None):
+    for xb, _ in batches(dataset, min(EVAL_BATCH_SIZE, len(dataset)), shuffle_seed=None):
         x = Tensor(xb)
         if isinstance(model, EnsembleModel):
             logits = model.stacked_forward(x)[0].data
@@ -327,8 +326,9 @@ def _predict(model, dataset, batch_size: int):
     return np.concatenate(preds), np.concatenate(branch_preds, axis=1)
 
 
-def predict_dataset(model, dataset, batch_size: int = EVAL_BATCH_SIZE) -> np.ndarray:
-    return _predict(model, dataset, batch_size)[0]
+def predict_dataset(model, dataset) -> np.ndarray:
+    """Combined predictions over the dataset, in batches of EVAL_BATCH_SIZE."""
+    return _predict(model, dataset)[0]
 
 
 def accuracy(predictions: np.ndarray, labels: np.ndarray) -> float:
@@ -346,7 +346,7 @@ def evaluate(model, dataset) -> EvalReport:
     Per-branch means each ensemble branch's own argmax; for the dual
     model it is [local head, global head].
     """
-    predictions, branch_preds = _predict(model, dataset, EVAL_BATCH_SIZE)
+    predictions, branch_preds = _predict(model, dataset)
     labels = dataset.labels
     per_class: list[float | None] = []
     for k in range(dataset.class_count):
@@ -391,8 +391,7 @@ def train(model, train_set, test_set, config) -> TrainResult:
             epoch=epoch + 1,
             branch_count=len(model.branches) if is_ensemble else 2,
             train_acc=hits / len(train_set),
-            test_acc=accuracy(predict_dataset(model, test_set, config.batch_size),
-                              test_set.labels),
+            test_acc=accuracy(predict_dataset(model, test_set), test_set.labels),
             **{column: _mean_or_none([getattr(s, part) for s in steps])
                for part, column in _LOSS_PARTS.items()},
         ))

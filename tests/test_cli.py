@@ -12,7 +12,7 @@ import pytest
 
 from divreg import cli, data, gradcheck
 from divreg.cli import _build_model, _parser, main
-from divreg.config import SIZE_LIMIT, ExperimentConfig
+from divreg.config import SAMPLE_LIMIT, SIZE_LIMIT, ExperimentConfig
 from divreg.data import GeneratorConfig, load_dataset
 from divreg.models import load_checkpoint
 from divreg.training import EpochRecord, resolved_gammas
@@ -101,7 +101,7 @@ def test_records_round_trip_through_metrics_summary_and_eval(family, tmp_path, d
     assert header == [f.name for f in fields(EpochRecord)]
     summary = json.loads((out / "summary.json").read_text())
     assert summary["final"] == dict(zip(header, map(_csv_value, rows[-1])))
-    # the epoch pass runs at batch_size 8 and eval at 64: same predictions
+    # the epoch's held-out pass and eval both run in batches of 64
     assert main(["eval", "--checkpoint", str(out / "model.dvrg"), "--dataset", str(data_dir),
                  "--out", str(tmp_path), "--quiet"]) == 0
     report = json.loads((tmp_path / "eval.json").read_text())
@@ -368,6 +368,21 @@ def test_non_finite_number_exits_2(tmp_path, data_dir, capsys, monkeypatch, comm
     assert main([command, "--config", cfg, "--quiet"]) == 2
     assert f"config field '{key}': must be finite" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+@pytest.mark.parametrize("key,value", [
+    ("class_count", 1), ("samples_per_class", 0), ("noise_sigma", -0.1),
+    ("occlusion_prob", 1.5), ("occlusion_size", 32), ("seed", -1), ("image_size", 64),
+    # past the sample cap: refused before any image is allocated
+    ("samples_per_class", SAMPLE_LIMIT // GEN["class_count"] + 1),
+])
+def test_gen_data_bad_field_exits_2(tmp_path, capsys, monkeypatch, key, value):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "generate", lambda cfg: pytest.fail("generate was reached"))
+    cfg = write_json(tmp_path / "gen.json", dict(GEN, **{key: value}))
+    assert main(["gen-data", "--config", cfg, "--out", str(tmp_path / "data"), "--quiet"]) == 2
+    assert f"config field '{key}'" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["gen.json"]
 
 
 def test_largest_branch_cap_trains_and_evaluates(tmp_path, data_dir):

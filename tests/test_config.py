@@ -1,10 +1,11 @@
 """Experiment configuration parsing and validation."""
 
+import math
 from dataclasses import fields
 
 import pytest
 
-from divreg.config import SIZE_LIMIT, ConfigError, ExperimentConfig
+from divreg.config import SAMPLE_LIMIT, SIZE_LIMIT, ConfigError, ExperimentConfig
 from divreg.data import GeneratorConfig
 
 
@@ -174,3 +175,92 @@ def test_declared_types_accept_json_equivalents():
     assert cfg.diversity_weight == 0 and cfg.gamma == 2 and cfg.dataset_path is None
     gen = GeneratorConfig.from_dict({"noise_sigma": 0, "occlusion_prob": 1})
     assert gen.noise_sigma == 0 and gen.occlusion_prob == 1
+
+
+# every field of both configs that declares its allowed values, as (config
+# class, JSON key, the values at its bounds, which it takes, and the values
+# one step past them, which it rejects)
+_BOUNDS = [
+    (ExperimentConfig, "model_family", ["ensemble", "dual_branch"], ["transformer", ""]),
+    (ExperimentConfig, "class_count", [2, SIZE_LIMIT], [1, SIZE_LIMIT + 1]),
+    (ExperimentConfig, "branch_max", [1, SIZE_LIMIT], [0, SIZE_LIMIT + 1]),
+    (ExperimentConfig, "branch_add_epochs", [1], [0]),
+    (ExperimentConfig, "diversity_weight", [0], [-5e-324]),
+    (ExperimentConfig, "gamma", [5e-324], [0, -5e-324]),
+    (ExperimentConfig, "lambda", [0, 1], [-5e-324, math.nextafter(1, 2)]),
+    (ExperimentConfig, "epochs", [1], [0]),
+    (ExperimentConfig, "batch_size", [1], [0]),
+    (ExperimentConfig, "learning_rate", [5e-324], [0, -5e-324]),
+    (ExperimentConfig, "momentum", [0, math.nextafter(1, 0)], [-5e-324, 1]),
+    (ExperimentConfig, "seed", [0, 2 ** 64 - 1], [-1, 2 ** 64]),
+    (ExperimentConfig, "diversity_tap", ["last", "all"], ["first"]),
+    (ExperimentConfig, "pool_op", ["mean", "max"], ["sum"]),
+    (GeneratorConfig, "class_count", [2, SIZE_LIMIT], [1, SIZE_LIMIT + 1]),
+    (GeneratorConfig, "samples_per_class", [1], [0]),
+    (GeneratorConfig, "noise_sigma", [0], [-5e-324]),
+    (GeneratorConfig, "occlusion_prob", [0, 1], [-5e-324, math.nextafter(1, 2)]),
+    (GeneratorConfig, "occlusion_size", [0, 31], [-1, 32]),
+    (GeneratorConfig, "seed", [0, 2 ** 64 - 1], [-1, 2 ** 64]),
+]
+
+
+def _doc(cls, key, value):
+    # one sample per class, so the largest class count stays under SAMPLE_LIMIT
+    if cls is GeneratorConfig:
+        return {"samples_per_class": 1, key: value}
+    if key == "model_family":
+        return {key: value}
+    return {"model_family": "dual_branch" if key in ("lambda", "pool_op") else "ensemble",
+            key: value}
+
+
+def test_bounds_cover_every_declared_field():
+    declared = [(cls, {"lambda_balance": "lambda"}.get(f.name, f.name))
+                for cls in (ExperimentConfig, GeneratorConfig)
+                for f in fields(cls) if "admits" in f.metadata]
+    assert declared == [(cls, key) for cls, key, _, _ in _BOUNDS]
+
+
+@pytest.mark.parametrize("cls,key,accepted,rejected", _BOUNDS,
+                         ids=[f"{cls.__name__}-{key}" for cls, key, _, _ in _BOUNDS])
+def test_each_bound_taken_and_one_step_past_it_rejected(cls, key, accepted, rejected):
+    attr = {"lambda": "lambda_balance"}.get(key, key)
+    for value in accepted:
+        assert getattr(cls.from_dict(_doc(cls, key, value)), attr) == value
+    for value in rejected:
+        with pytest.raises(ConfigError, match=f"'{key}': must be .*, got ") as e:
+            cls.from_dict(_doc(cls, key, value))
+        assert e.value.field == key
+    # NaN passes no JSON type check of an int field, but built directly it
+    # must still fail the field's own check
+    args = {attr if k == key else k: v for k, v in _doc(cls, key, float("nan")).items()}
+    with pytest.raises(ConfigError) as e:
+        cls(**args)
+    assert e.value.field == key
+
+
+@pytest.mark.parametrize("class_count", [2, 3, 8, SIZE_LIMIT])
+def test_generator_sample_count_capped(class_count):
+    # configs only: no images are generated at the cap
+    most = SAMPLE_LIMIT // class_count
+    cfg = GeneratorConfig.from_dict({"class_count": class_count, "samples_per_class": most})
+    assert cfg.class_count * cfg.samples_per_class <= SAMPLE_LIMIT
+    with pytest.raises(ConfigError, match=f"'samples_per_class': must be <= {most} ") as e:
+        GeneratorConfig.from_dict({"class_count": class_count, "samples_per_class": most + 1})
+    assert e.value.field == "samples_per_class"
+
+
+@pytest.mark.parametrize("doc,key", [
+    # the parse names errors in one order: unknown key, missing
+    # model_family, the other family's key, JSON type, allowed values
+    ({"epochs": "x", "learning_rte": 0.1}, "learning_rte"),
+    ({"epochs": "x", "lambda": 0.5}, "model_family"),
+    ({"model_family": "ensemble", "epochs": "x", "lambda": 0.5}, "lambda"),
+    ({"model_family": "ensemble", "epochs": 0, "momentum": "x"}, "momentum"),
+    ({"model_family": "ensemble", "momentum": 2, "epochs": 0}, "epochs"),
+    ({"model_family": "dual_branch", "pool_op": "sum", "lambda": 2}, "lambda"),
+])
+def test_first_error_named_in_parse_order(doc, key):
+    with pytest.raises(ConfigError) as e:
+        ExperimentConfig.from_dict(doc)
+    assert e.value.field == key

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divreg.config import SIZE_LIMIT
+from divreg.config import SIZE_LIMIT, ConfigError
 from divreg.data import (Dataset, DatasetFormatError, GeneratorConfig, batches,
                          class_template, generate, load_dataset,
                          nearest_template, save_dataset, write_atomic)
@@ -17,26 +17,17 @@ def test_generator_config_defaults_and_validation():
     cfg = GeneratorConfig()
     assert (cfg.class_count, cfg.samples_per_class) == (8, 100)
     assert cfg.noise_sigma == 0.05
-    with pytest.raises(ValueError):
-        GeneratorConfig(class_count=1)
-    with pytest.raises(ValueError):
-        GeneratorConfig(class_count=SIZE_LIMIT + 1)
-    with pytest.raises(ValueError):
-        GeneratorConfig(samples_per_class=0)
-    with pytest.raises(ValueError):
-        GeneratorConfig(noise_sigma=-0.1)
-    with pytest.raises(ValueError):
-        GeneratorConfig(occlusion_prob=1.5)
-    with pytest.raises(ValueError):
-        GeneratorConfig(occlusion_size=32)
-    with pytest.raises(ValueError):
-        GeneratorConfig(seed=-1)
+    for field, value in [("class_count", 1), ("class_count", SIZE_LIMIT + 1),
+                         ("samples_per_class", 0), ("noise_sigma", -0.1),
+                         ("occlusion_prob", 1.5), ("occlusion_size", 32), ("seed", -1)]:
+        with pytest.raises(ConfigError, match=f"config field '{field}': must be"):
+            GeneratorConfig(**{field: value})
 
 
 def test_generator_config_from_dict_rejects_unknown():
     cfg = GeneratorConfig.from_dict({"class_count": 4, "seed": 3})
     assert cfg.class_count == 4 and cfg.seed == 3
-    with pytest.raises(ValueError, match="image_size"):
+    with pytest.raises(ConfigError, match="'image_size': unknown field"):
         GeneratorConfig.from_dict({"image_size": 64})
 
 

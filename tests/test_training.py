@@ -199,7 +199,8 @@ def test_train_acc_counts_each_steps_own_predictions(family, monkeypatch):
 @pytest.mark.parametrize("family", ["ensemble", "dual_branch"])
 def test_train_makes_one_forward_per_batch_and_one_held_out_pass(family, monkeypatch):
     # per epoch: the probe's two forwards if a branch is added, one taped
-    # forward per train batch, then one no-grad forward per test batch
+    # forward per train batch, then one no-grad forward per test batch of
+    # EVAL_BATCH_SIZE, whatever the config's batch_size
     calls = []
     model_class = EnsembleModel if family == "ensemble" else DualBranchModel
     name = "stacked_forward" if family == "ensemble" else "forward"
@@ -212,7 +213,8 @@ def test_train_makes_one_forward_per_batch_and_one_held_out_pass(family, monkeyp
         return out
 
     monkeypatch.setattr(model_class, name, counted)
-    train_set, test_set = tiny_dataset(28), tiny_dataset(12, seed=1)  # 4 and 2 batches of 8
+    # 4 train batches of 8; 2 test batches, of EVAL_BATCH_SIZE and 6
+    train_set, test_set = tiny_dataset(28), tiny_dataset(EVAL_BATCH_SIZE + 6, seed=1)
     cfg = tiny_config(model_family=family, branch_max=3, branch_add_epochs=1, epochs=3,
                       batch_size=8)
     train(_train_model(family), train_set, test_set, cfg)
@@ -472,10 +474,21 @@ def test_non_finite_loss_aborts_with_location():
 
 
 def test_predict_dataset_batch_size_invariant():
-    model = build_ensemble(4, branch_max=2, seed=0, input_size=8, initial_branches=2)
-    ds = tiny_dataset(20)
-    np.testing.assert_array_equal(predict_dataset(model, ds, batch_size=5),
-                                  predict_dataset(model, ds, batch_size=64))
+    # predict_dataset's batches of EVAL_BATCH_SIZE predict as forwards of
+    # 7-image chunks do, for both families
+    ds = tiny_dataset(EVAL_BATCH_SIZE + 6)
+    for model in (build_ensemble(4, branch_max=2, seed=0, input_size=8, initial_branches=2),
+                  build_dual_branch(4, seed=0, input_size=8)):
+        chunks = []
+        with autodiff.no_grad():
+            for xb, _ in batches(ds, 7, shuffle_seed=None):
+                if isinstance(model, EnsembleModel):
+                    chunks.append(ensemble_predict(model.stacked_forward(Tensor(xb))[0].data))
+                else:
+                    res = model.forward(Tensor(xb))
+                    chunks.append(dual_predict(res.global_logits, res.local_logits,
+                                               model.lambda_balance))
+        np.testing.assert_array_equal(predict_dataset(model, ds), np.concatenate(chunks))
 
 
 def test_evaluate_report_shape():
@@ -542,7 +555,7 @@ def test_inference_records_no_tape(family, monkeypatch):
 
     monkeypatch.setattr(Tensor, "from_op", classmethod(counting_from_op))
     report = evaluate(model, ds)
-    predict_dataset(model, ds, batch_size=8)
+    predict_dataset(model, ds)
     resolved_gammas(model, ds.images[:1], cfg)
     if family == "ensemble":
         check = _checked_add(model, ds.images[:8], epoch=1)
@@ -596,7 +609,7 @@ def test_trained_model_predicts_alike_without_and_with_a_tape(family):
             free = (model.stacked_forward(Tensor(xb))[0] if family == "ensemble"
                     else model.forward(Tensor(xb)).global_logits)
         gaps.append(np.abs(free.data - logits.data).max() / np.abs(logits.data).max())
-    np.testing.assert_array_equal(predict_dataset(model, test_set, batch_size=16),
+    np.testing.assert_array_equal(predict_dataset(model, test_set),
                                   np.concatenate(preds))
     assert max(gaps) <= 1e-12
 
