@@ -22,7 +22,7 @@ _ATTR_TO_KEY = {"lambda_balance": "lambda"}
 SIZE_LIMIT = 4096
 
 # the most images (class_count x samples_per_class) a generator config may
-# ask for; `generate` holds them as float64, about 512 MiB at the cap
+# ask for; `generate` holds them as float32, about 256 MiB at the cap
 SAMPLE_LIMIT = 65536
 
 
@@ -53,10 +53,28 @@ def one_of(choices, default=MISSING):
                                             "words": f"one of {list(choices)}"})
 
 
+# JSON types each declared field type takes; bool is an int subclass in
+# Python, so it is rejected by name wherever it is not the declared type
+_JSON_TYPES = {"int": ((int,), "an integer"), "float": ((int, float), "a number"),
+               "bool": ((bool,), "true or false"), "str": ((str,), "a string")}
+
+
 def check_allowed(config) -> None:
     """Raise ConfigError for the first field, in declaration order, whose
-    value lies outside what the field declares (`in_range`, `one_of`);
-    None passes where it is the default."""
+    value is not of its declared JSON type or is a non-finite number;
+    failing that, for the first whose value lies outside what the field
+    declares (`in_range`, `one_of`). None passes where it is the default."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if value is None and f.default is None:
+            continue
+        base = f.type.split(" | ")[0]  # "str | None" -> "str"
+        accepted, words = _JSON_TYPES[base]
+        if not isinstance(value, accepted) or (isinstance(value, bool) and base != "bool"):
+            raise ConfigError(_ATTR_TO_KEY.get(f.name, f.name), f"must be {words}, got {value!r}")
+        # JSON's Infinity and NaN, and integers past float range, all fail this
+        if base == "float" and not abs(value) <= sys.float_info.max:
+            raise ConfigError(_ATTR_TO_KEY.get(f.name, f.name), f"must be finite, got {value!r}")
     for f in fields(config):
         value = getattr(config, f.name)
         if "admits" in f.metadata and not (value is None and f.default is None) \
@@ -65,20 +83,12 @@ def check_allowed(config) -> None:
                               f"must be {f.metadata['words']}, got {value!r}")
 
 
-# JSON types each declared field type takes; bool is an int subclass in
-# Python, so it is rejected by name wherever it is not the declared type
-_JSON_TYPES = {"int": ((int,), "an integer"), "float": ((int, float), "a number"),
-               "bool": ((bool,), "true or false"), "str": ((str,), "a string")}
-
-
 def parse_fields(cls, doc: dict, forbidden: dict | None = None) -> dict:
     """Constructor arguments of config dataclass ``cls`` from the JSON
     document ``doc``. Raises ConfigError naming, in this order: a key that
     is no field's (the first such key sorted), a missing field that has no
-    default, a key of ``forbidden`` (with its message), then, in field
-    order, a value whose JSON type is not the field's declared type or a
-    number that is not finite. null is taken only where the default is
-    None. Allowed values are left to `check_allowed`."""
+    default, then a key of ``forbidden`` (with its message). Types and
+    allowed values are left to `check_allowed`, which the constructor runs."""
     by_key = {_ATTR_TO_KEY.get(f.name, f.name): f for f in fields(cls)}
     unknown = sorted(set(doc) - set(by_key))
     if unknown:
@@ -89,21 +99,7 @@ def parse_fields(cls, doc: dict, forbidden: dict | None = None) -> dict:
     for key, message in (forbidden or {}).items():
         if key in doc:
             raise ConfigError(key, message)
-    kwargs = {}
-    for key, f in by_key.items():
-        if key not in doc:
-            continue
-        value = kwargs[f.name] = doc[key]
-        if value is None and f.default is None:
-            continue
-        base = f.type.split(" | ")[0]  # "str | None" -> "str"
-        accepted, words = _JSON_TYPES[base]
-        if not isinstance(value, accepted) or (isinstance(value, bool) and base != "bool"):
-            raise ConfigError(key, f"must be {words}, got {value!r}")
-        # JSON's Infinity and NaN, and integers past float range, all fail this
-        if base == "float" and not abs(value) <= sys.float_info.max:
-            raise ConfigError(key, f"must be finite, got {value!r}")
-    return kwargs
+    return {f.name: doc[key] for key, f in by_key.items() if key in doc}
 
 
 @dataclass

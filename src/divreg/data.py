@@ -5,7 +5,9 @@ Class k's template is k Gaussian bumps at class-fixed random positions
 probability, a zeroed occlusion square, then clamp to [0,1]. Every 5th
 sample per class goes to the test split (80/20 round-robin). Images are
 quantized through float32 at generation so the in-memory dataset and the
-32-bit file format hold identical values.
+32-bit file format hold identical values, and both hold them as float32:
+all arithmetic is float64, and a batch is widened (exactly) only when it
+becomes a `Tensor`.
 
 File format, magic "DVDS": header (magic, version, class count, sample
 count, height, width; u32 little-endian), then labels as u32, then
@@ -62,10 +64,14 @@ class GeneratorConfig:
 
 
 class Dataset:
-    """Image/label arrays with validated invariants."""
+    """Image/label arrays with validated invariants. float32 images stay
+    float32, half the bytes of their float64 widening; images of any other
+    dtype are held as float64."""
 
     def __init__(self, images: np.ndarray, labels: np.ndarray, class_count: int):
-        images = np.asarray(images, dtype=np.float64)
+        images = np.asarray(images)
+        if images.dtype != np.float32:
+            images = images.astype(np.float64, copy=False)
         labels = np.asarray(labels, dtype=np.int64)
         if images.ndim != 4 or images.shape[1] != 1:
             raise ValueError(f"images must have shape (n,1,H,W), got {images.shape}")
@@ -114,7 +120,7 @@ def generate(config: GeneratorConfig) -> tuple[Dataset, Dataset]:
     rng = np.random.default_rng(np.random.SeedSequence([config.seed]))
     size, s, k_count = IMAGE_SIZE, config.occlusion_size, config.class_count
     n_test = config.samples_per_class // 5
-    splits = [np.empty((k_count, n, 1, size, size))
+    splits = [np.empty((k_count, n, 1, size, size), dtype=np.float32)
               for n in (config.samples_per_class - n_test, n_test)]
     for k in range(k_count):
         template = class_template(k)
@@ -128,7 +134,7 @@ def generate(config: GeneratorConfig) -> tuple[Dataset, Dataset]:
             if occlude and s:
                 img[:, y0:y0 + s, x0:x0 + s] = 0.0
             held_out = int(i % 5 == 4)
-            splits[held_out][k, filled[held_out]] = np.clip(img, 0.0, 1.0).astype(np.float32)
+            splits[held_out][k, filled[held_out]] = np.clip(img, 0.0, 1.0)
             filled[held_out] += 1
     return tuple(Dataset(images.reshape(-1, 1, size, size),
                          np.repeat(np.arange(k_count), images.shape[1]), k_count)
@@ -166,14 +172,14 @@ def save_dataset(dataset: Dataset, path) -> None:
     chunks = [struct.pack(_HEADER_FMT, DATASET_MAGIC, DATASET_VERSION,
                           dataset.class_count, n, h, w)]
     chunks.append(dataset.labels.astype("<u4").tobytes())
-    chunks.append(dataset.images.astype("<f4").tobytes())
+    chunks.append(dataset.images.astype("<f4", copy=False).tobytes())
     write_atomic(path, b"".join(chunks))
 
 
 def load_dataset(path) -> Dataset:
-    """Read a DVDS file. A bad header or length, or contents `Dataset`
-    rejects (a label out of range, a pixel outside [0, 1]), raise
-    DatasetFormatError."""
+    """Read a DVDS file; its images stay float32, read-only views of the
+    file's bytes. A bad header or length, or contents `Dataset` rejects (a
+    label out of range, a pixel outside [0, 1]), raise DatasetFormatError."""
     buf = Path(path).read_bytes()
     if len(buf) < _HEADER_SIZE:
         raise DatasetFormatError(
@@ -194,8 +200,7 @@ def load_dataset(path) -> Dataset:
         raise DatasetFormatError(f"{len(buf) - expected} trailing bytes after image data")
     labels = np.frombuffer(buf, dtype="<u4", count=n, offset=_HEADER_SIZE).astype(np.int64)
     images = np.frombuffer(buf, dtype="<f4", count=n * h * w,
-                           offset=_HEADER_SIZE + 4 * n)
-    images = images.astype(np.float64).reshape(n, 1, h, w)
+                           offset=_HEADER_SIZE + 4 * n).reshape(n, 1, h, w)
     try:
         return Dataset(images, labels, class_count)
     except ValueError as e:

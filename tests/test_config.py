@@ -264,3 +264,21 @@ def test_first_error_named_in_parse_order(doc, key):
     with pytest.raises(ConfigError) as e:
         ExperimentConfig.from_dict(doc)
     assert e.value.field == key
+
+
+@pytest.mark.parametrize("cls,args,later", [
+    (ExperimentConfig, {"model_family": "ensemble", "epochs": 2.5, "class_count": 3.0,
+                        "batch_size": True}, {"epochs": 2.5}),
+    (GeneratorConfig, {"class_count": 3.0, "samples_per_class": 2.5, "seed": True},
+     {"samples_per_class": 2.5}),
+])
+def test_built_directly_the_json_types_are_checked(cls, args, later):
+    # the constructor runs the type check from_dict relies on: the first
+    # field in declaration order is named, and a type error in a later
+    # field comes before a range error in an earlier one
+    with pytest.raises(ConfigError, match="'class_count': must be an integer, got 3.0") as e:
+        cls(**args)
+    assert e.value.field == "class_count"
+    with pytest.raises(ConfigError) as e:
+        cls(**{k: v for k, v in args.items() if k == "model_family"}, class_count=1, **later)
+    assert e.value.field == next(iter(later))

@@ -1,5 +1,6 @@
 """Synthetic dataset generation, the DVDS format, batching, and file writes."""
 
+import hashlib
 import os
 
 import numpy as np
@@ -96,6 +97,26 @@ def test_generate_quantized_to_float32_grid():
     train, _ = generate(GeneratorConfig(samples_per_class=5))
     np.testing.assert_array_equal(train.images,
                                   train.images.astype(np.float32).astype(np.float64))
+
+
+# sha256 of the float64 bytes of the train and test images of
+# generate(GeneratorConfig(class_count=3, samples_per_class=10, seed=7)),
+# recorded when datasets held every image as float64
+_SPLIT_DIGESTS = ("98a43b8b2ecbba0b1d84842e7ae72c913ff41c515f479e43342bca4b739da6c4",
+                  "b02a287b87aa9de65cef2473c66a5403eced07f96c59ae75ec5989d31eacca0c")
+
+
+def test_images_held_as_float32_widen_to_the_float64_values(tmp_path):
+    splits = generate(GeneratorConfig(class_count=3, samples_per_class=10, seed=7))
+    save_dataset(splits[1], tmp_path / "test.dvds")
+    loaded = load_dataset(tmp_path / "test.dvds")
+    for ds, digest in zip((*splits, loaded), (*_SPLIT_DIGESTS, _SPLIT_DIGESTS[1])):
+        assert ds.images.dtype == np.float32
+        assert hashlib.sha256(ds.images.astype(np.float64).tobytes()).hexdigest() == digest
+    # any other dtype is held as float64
+    for dtype in (np.float64, np.float16, np.uint8):
+        images = np.zeros((2, 1, 4, 4), dtype=dtype)
+        assert Dataset(images, np.zeros(2, dtype=np.int64), 1).images.dtype == np.float64
 
 
 def test_generate_noise_free_matches_template():

@@ -1,5 +1,6 @@
 """Optimizer, loss composition, and the training loop."""
 
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -420,6 +421,58 @@ def test_train_deterministic_repeat():
     assert rec1 == rec2
     for a, b in zip(w1, w2):
         np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("family", ["ensemble", "dual_branch"])
+def test_float32_images_train_as_their_float64_widening(family):
+    # a batch of float32 images widens exactly when it becomes a Tensor;
+    # the ensemble adds a branch at epoch 3, probing with float32 images
+    narrow = [Dataset(ds.images.astype(np.float32), ds.labels, 4)
+              for ds in (tiny_dataset(32), tiny_dataset(8, seed=1))]
+    wide = [Dataset(ds.images.astype(np.float64), ds.labels, 4) for ds in narrow]
+    assert narrow[0].images.dtype == np.float32 and wide[0].images.dtype == np.float64
+    runs = []
+    for train_set, test_set in (narrow, wide):
+        model = (build_ensemble(4, branch_max=2, seed=0, input_size=8) if family == "ensemble"
+                 else build_dual_branch(4, seed=0, input_size=8))
+        res = train(model, train_set, test_set, tiny_config(model_family=family, epochs=3))
+        runs.append((res, [p.data for p in model.parameters()]))
+    (res_a, w_a), (res_b, w_b) = runs
+    assert res_a == res_b and len(w_a) == len(w_b)
+    for a, b in zip(w_a, w_b):
+        np.testing.assert_array_equal(a, b)
+
+
+def _traced_peak_mib(fn) -> float:
+    """tracemalloc's peak over one call of ``fn``, after a warm-up call."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_held_out_pass_peaks_below_a_training_step():
+    # the ensemble32 benchmark's shape: 3 branches on 32 px images, steps
+    # of 16; an inference pass over its 160 held-out images must not set
+    # the training phase's peak (at batches of 64 it read 17.1 MiB, a
+    # step 15.3)
+    rng = np.random.default_rng(0)
+    ds = Dataset(rng.uniform(0.0, 1.0, (160, 1, 32, 32)).astype(np.float32),
+                 np.arange(160) % 8, 8)
+    model = build_ensemble(8, branch_max=3, seed=0, input_size=32, initial_branches=3)
+    cfg = ExperimentConfig("ensemble", batch_size=16)
+    opt, params = SGD(0.01, 0.9), model.parameters()
+
+    def step():
+        loss, _ = _ensemble_step(model, ds.images[:16], ds.labels[:16], cfg)
+        opt.zero_grad(params)
+        backward(loss)
+        opt.step(params)
+
+    assert _traced_peak_mib(lambda: predict_dataset(model, ds)) < _traced_peak_mib(step)
 
 
 def test_first_epoch_loss_near_log_k():
