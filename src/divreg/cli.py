@@ -2,10 +2,10 @@
 
 Every command is deterministic given (config, seed); metric CSVs are
 byte-identical across re-runs. Exit statuses: 0 success, 2 for config
-or validation problems, 3 for a non-finite loss abort, 4 when gradient
-verification fails. Each output file is written whole (`data.write_atomic`):
-a run that stops part-way leaves the previous file in place. The one
-exception is `ablation.csv`, which gains a row as each cell finishes.
+or validation problems and unusable paths, 3 for a non-finite loss abort,
+4 when gradient verification fails. Each output file is written whole
+(`data.write_atomic`): a run that stops part-way leaves the previous file
+in place.
 """
 
 from __future__ import annotations
@@ -19,12 +19,11 @@ from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 
 from .config import ConfigError, ExperimentConfig
-from .data import (DatasetFormatError, GeneratorConfig, generate, load_dataset, save_dataset,
-                   write_atomic)
+from .data import GeneratorConfig, generate, load_dataset, save_dataset, write_atomic
 from .gradcheck import report_json, report_text, run_suite
-from .models import (CheckpointFormatError, EnsembleModel, build_dual_branch, build_ensemble,
-                     load_checkpoint, save_checkpoint)
-from .training import EpochRecord, NonFiniteLossError, evaluate, resolved_gammas, train
+from .models import (EnsembleModel, build_dual_branch, build_ensemble, load_checkpoint,
+                     save_checkpoint)
+from .training import NonFiniteLossError, evaluate, resolved_gammas, train
 
 
 def _say(quiet: bool, message: str) -> None:
@@ -66,16 +65,11 @@ def _fmt(v) -> str:
     return repr(float(v))
 
 
-def _csv_header(record_type) -> str:
-    return ",".join(f.name for f in fields(record_type)) + "\n"
-
-
-def _csv_row(record) -> str:
-    return ",".join(map(_fmt, astuple(record))) + "\n"
-
-
-def _write_metrics(path: Path, records) -> None:
-    write_atomic(path, _csv_header(EpochRecord) + "".join(map(_csv_row, records)))
+def _write_csv(path: Path, records) -> None:
+    """A header of the records' dataclass fields, then one row per record."""
+    lines = [",".join(f.name for f in fields(records[0]))]
+    lines += [",".join(map(_fmt, astuple(r))) for r in records]
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def _load_nonempty(path: Path, field_name: str):
@@ -134,8 +128,7 @@ def _run_training(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> dict:
     result = train(model, train_set, test_set, cfg)
     wall = time.time() - started
 
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_metrics(out_dir / "metrics.csv", result.records)
+    _write_csv(out_dir / "metrics.csv", result.records)
     save_checkpoint(model, out_dir / "model.dvrg")
     summary = {
         "config": cfg.to_dict(),
@@ -159,7 +152,6 @@ def cmd_gen_data(args) -> int:
     cfg = GeneratorConfig.from_dict(_load_json(args.config))
     train_set, test_set = generate(cfg)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     save_dataset(train_set, out / "train.dvds")
     save_dataset(test_set, out / "test.dvds")
     manifest = {
@@ -214,9 +206,7 @@ def cmd_eval(args) -> int:
         "branch_count": len(model.branches) if is_ensemble else 2,
         **asdict(report),
     }
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "eval.json", doc)
+    _write_json(Path(args.out) / "eval.json", doc)
     _say(args.quiet, f"accuracy={report.accuracy:.4f} "
                      f"per_branch={[round(a, 4) for a in report.per_branch]}")
     return 0
@@ -249,29 +239,24 @@ def cmd_ablate(args) -> int:
     doc = _config_doc(args)
     base = ExperimentConfig.from_dict(doc)  # validate before any cell runs
     out = Path(base.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     csv_path = out / "ablation.csv"
     rows = []
-    with csv_path.open("w") as fh:  # streamed: each finished cell's row is on disk at once
-        fh.write(_csv_header(AblationRow))
-        fh.flush()
-        for name, attention, d_sp, d_ch in _ABLATION_CELLS:
-            cell_doc = dict(doc)
-            cell_doc["attention_enabled"] = attention
-            cell_doc["diversity_spatial"] = d_sp
-            cell_doc["diversity_channel"] = d_ch
-            cell_doc["output_dir"] = str(out / "cells" / name)
-            cfg = ExperimentConfig.from_dict(cell_doc)
-            summary = _run_training(cfg, Path(cfg.output_dir), True)
-            final = summary["final"]
-            row = AblationRow(name, attention, d_sp, d_ch, final["test_acc"], final["d_sp"],
-                              final["d_ch"], final["d_branch"],
-                              summary["dataset_checksums"]["train.dvds"])
-            rows.append(row)
-            fh.write(_csv_row(row))
-            fh.flush()
-            _say(args.quiet, f"cell {name}: test_acc={row.final_test_acc:.4f}")
+    for name, attention, d_sp, d_ch in _ABLATION_CELLS:
+        cell_doc = dict(doc)
+        cell_doc["attention_enabled"] = attention
+        cell_doc["diversity_spatial"] = d_sp
+        cell_doc["diversity_channel"] = d_ch
+        cell_doc["output_dir"] = str(out / "cells" / name)
+        cfg = ExperimentConfig.from_dict(cell_doc)
+        summary = _run_training(cfg, Path(cfg.output_dir), True)
+        final = summary["final"]
+        row = AblationRow(name, attention, d_sp, d_ch, final["test_acc"], final["d_sp"],
+                          final["d_ch"], final["d_branch"],
+                          summary["dataset_checksums"]["train.dvds"])
+        rows.append(row)
+        # rewritten whole as each cell finishes: the last table stays until one does
+        _write_csv(csv_path, rows)
+        _say(args.quiet, f"cell {name}: test_acc={row.final_test_acc:.4f}")
 
     def cell_num(v):  # D reaches 1e-97 at 15 learners: fixed point would print 0
         return "-" if v is None else f"{v:.3e}"
@@ -294,7 +279,6 @@ def cmd_ablate(args) -> int:
 def cmd_gradcheck(args) -> int:
     results = run_suite()
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "gradcheck.json", report_json(results))
     text = report_text(results)
     write_atomic(out / "gradcheck.txt", text)
@@ -353,8 +337,11 @@ def main(argv=None) -> int:
     except NonFiniteLossError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except (ConfigError, DatasetFormatError, CheckpointFormatError, FileNotFoundError,
-            IsADirectoryError, NotADirectoryError, ValueError) as e:
+    except (ValueError, OSError) as e:
+        # a bad config, dataset, checkpoint or path; an OSError naming no path
+        # (a full disk, say) is not one, and propagates
+        if isinstance(e, OSError) and e.filename is None:
+            raise
         print(f"error: {e}", file=sys.stderr)
         return 2
 

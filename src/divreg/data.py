@@ -151,11 +151,13 @@ def nearest_template(images: np.ndarray, class_count: int) -> np.ndarray:
 
 
 def write_atomic(path, data) -> None:
-    """Write ``data`` (bytes, or text as UTF-8) to ``path``: into a temp file
-    in the same directory, then moved over ``path`` with `os.replace`. So
-    ``path`` holds its old bytes or all of the new ones, and a write that
-    fails part-way leaves the old file and no temp file."""
+    """Write ``data`` (bytes, or text as UTF-8) to ``path``, making its
+    directory if missing: into a temp file in that directory, then moved
+    over ``path`` with `os.replace`. So ``path`` holds its old bytes or all
+    of the new ones, and a write that fails part-way leaves the old file
+    and no temp file."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
     try:
         with open(tmp, "xb") as fh:

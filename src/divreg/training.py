@@ -316,6 +316,8 @@ def _predict(model, dataset):
     """Combined predictions over the dataset, in batches of EVAL_BATCH_SIZE,
     and each branch's own argmax, one row per branch: the ensemble's
     branches, or [local head, global head] of the dual model."""
+    if len(dataset) == 0:
+        raise ValueError("the dataset holds no samples")
     preds, branch_preds = [], []
     for xb, _ in batches(dataset, min(EVAL_BATCH_SIZE, len(dataset)), shuffle_seed=None):
         x = Tensor(xb)
@@ -366,8 +368,11 @@ def train(model, train_set, test_set, config) -> TrainResult:
 
     Identical (model, datasets, config) inputs give identical records and
     final weights: shuffling and initialization draw from seed-derived
-    streams only.
+    streams only. An empty split raises ValueError before any step.
     """
+    for name, split in (("train", train_set), ("test", test_set)):
+        if len(split) == 0:
+            raise ValueError(f"the {name} split holds no samples")
     is_ensemble = isinstance(model, EnsembleModel)
     opt = SGD(config.learning_rate, config.momentum)
     records, add_checks = [], []

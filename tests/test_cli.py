@@ -215,6 +215,38 @@ def test_ablate_grid(tmp_path, data_dir, capsys):
     assert "cell" in capsys.readouterr().out
 
 
+def test_ablate_whose_first_cell_aborts_keeps_the_previous_table(tmp_path, data_dir, capsys):
+    out = tmp_path / "grid"
+    out.mkdir()
+    previous = b"cell,attention\nold_cell,1\n"
+    (out / "ablation.csv").write_bytes(previous)
+    # one enormous step overflows the next forward pass of cell 1
+    cfg = write_json(tmp_path / "ablate.json",
+                     dict(TRAIN, dataset_path=str(data_dir), learning_rate=1e300))
+    with np.errstate(all="ignore"):
+        assert main(["ablate", "--config", cfg, "--out", str(out), "--quiet"]) == 3
+    assert "non-finite" in capsys.readouterr().err
+    assert (out / "ablation.csv").read_bytes() == previous
+    assert sorted(p.name for p in out.iterdir()) == ["ablation.csv"]
+
+
+def test_ablate_stopped_in_its_third_cell_keeps_the_first_two_rows(tmp_path, data_dir,
+                                                                   capsys):
+    # the first two cells have both diversity switches off; the third's
+    # enormous diversity weight overflows its next forward pass
+    cfg = write_json(tmp_path / "ablate.json",
+                     dict(TRAIN, dataset_path=str(data_dir), diversity_weight=1e300))
+    out = tmp_path / "grid"
+    with np.errstate(all="ignore"):
+        assert main(["ablate", "--config", cfg, "--out", str(out), "--quiet"]) == 3
+    assert "non-finite" in capsys.readouterr().err
+    lines = (out / "ablation.csv").read_text().splitlines()
+    assert lines[0] == ",".join(f.name for f in fields(cli.AblationRow))
+    assert [line.split(",")[0] for line in lines[1:]] == ["attn_off_div_off",
+                                                           "attn_on_div_off"]
+    assert not (out / "ablation.txt").exists()
+
+
 def test_ablation_off_cell_matches_weight_zero(tmp_path, data_dir):
     # structural identity: switches-off and weight-0 runs share weights
     base = dict(TRAIN, dataset_path=str(data_dir), epochs=2, branch_max=1,
@@ -263,7 +295,7 @@ def test_gradcheck_corrupt_exits_4(tmp_path, capsys, monkeypatch):
 # each output file -> the command that writes it
 OUTPUTS = {"train.dvds": "gen-data", "test.dvds": "gen-data", "manifest.json": "gen-data",
            "metrics.csv": "train", "model.dvrg": "train", "summary.json": "train",
-           "eval.json": "eval", "ablation.txt": "ablate",
+           "eval.json": "eval", "ablation.csv": "ablate", "ablation.txt": "ablate",
            "gradcheck.json": "gradcheck", "gradcheck.txt": "gradcheck"}
 
 
@@ -469,6 +501,23 @@ def test_eval_rejects_empty_dataset(tmp_path, empty_test_split, train_out, capsy
                  "--dataset", str(empty_test_split), "--out", str(tmp_path / "out"), "--quiet"])
     assert code == 2
     assert f"{empty_test_split / 'test.dvds'} holds no samples" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_existing_file_as_output_directory_exits_2(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_bytes(b"not a directory\n")
+    cfg = write_json(tmp_path / "gen.json", GEN)
+    assert main(["gen-data", "--config", cfg, "--out", str(taken), "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert taken.read_bytes() == b"not a directory\n"
+
+
+def test_an_overlong_dataset_path_exits_2(tmp_path, capsys):
+    dataset = tmp_path / ("x" * 300)
+    assert main(["eval", "--checkpoint", str(tmp_path / "model.dvrg"), "--dataset",
+                 str(dataset), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "out").exists()
 
 

@@ -189,6 +189,22 @@ def test_write_atomic_replaces_the_file_whole(tmp_path, monkeypatch):
     assert os.listdir(tmp_path) == ["out.txt"]
 
 
+def test_write_atomic_makes_a_missing_directory(tmp_path, monkeypatch):
+    path = tmp_path / "a" / "b" / "out.txt"
+    write_atomic(path, "first\n")
+    assert path.read_bytes() == b"first\n"
+    assert os.listdir(path.parent) == ["out.txt"]
+
+    def no_replace(src, dst):
+        raise PermissionError("replace refused")
+
+    monkeypatch.setattr(os, "replace", no_replace)
+    fresh = tmp_path / "c" / "d" / "out.txt"
+    with pytest.raises(PermissionError):
+        write_atomic(fresh, b"second\n")
+    assert os.listdir(fresh.parent) == []
+
+
 def test_dataset_save_load_save_identical_bytes(tmp_path):
     train, _ = generate(GeneratorConfig(class_count=2, samples_per_class=4))
     p1, p2 = tmp_path / "a.dvds", tmp_path / "b.dvds"

@@ -526,6 +526,24 @@ def test_non_finite_loss_aborts_with_location():
     assert e.value.batch_index == 0
 
 
+@pytest.mark.parametrize("empty", ["train", "test"])
+def test_train_rejects_an_empty_split_before_any_step(empty, monkeypatch):
+    monkeypatch.setattr(training, "_ensemble_step",
+                        lambda *args: pytest.fail("a training step ran"))
+    splits = {"train": tiny_dataset(16), "test": tiny_dataset(8, seed=1)}
+    splits[empty] = tiny_dataset(0)
+    model = build_ensemble(4, branch_max=1, seed=0, input_size=8)
+    with pytest.raises(ValueError, match=f"the {empty} split holds no samples"):
+        train(model, splits["train"], splits["test"], tiny_config(epochs=1, branch_max=1))
+
+
+def test_inference_rejects_an_empty_dataset():
+    model = build_ensemble(4, branch_max=1, seed=0, input_size=8)
+    for infer in (evaluate, predict_dataset):
+        with pytest.raises(ValueError, match="the dataset holds no samples"):
+            infer(model, tiny_dataset(0))
+
+
 def test_predict_dataset_batch_size_invariant():
     # predict_dataset's batches of EVAL_BATCH_SIZE predict as forwards of
     # 7-image chunks do, for both families
