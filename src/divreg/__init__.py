@@ -3,7 +3,7 @@ numpy autodiff tape, conv/attention ops, the RBF-similarity determinant
 score, two model families that train against it, and a CLI harness."""
 
 from .autodiff import (ShapeMismatch, Tensor, accumulate, add, backward, concat, grad_check,
-                       mul, narrow, neg, no_grad, relu, reshape, sigmoid, tmean)
+                       mul, narrow, no_grad, relu, reshape, sigmoid, tmean)
 from .config import ConfigError, ExperimentConfig, MODEL_FAMILIES
 from .data import (Dataset, DatasetFormatError, GeneratorConfig, batches, class_template,
                    generate, load_dataset, nearest_template, save_dataset)

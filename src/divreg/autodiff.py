@@ -9,8 +9,9 @@ node (an op result) has passed its gradient on, it keeps only its
 ``data``, so its gradient, closure and parent links are freed while the
 walk goes on, and a second backward through it raises.
 
-The ops here are the ones the training steps record, plus ``neg`` for
-writing a negated loss; `divreg gradcheck` checks each of them.
+The ops here are the ones the training steps record, and `divreg
+gradcheck` checks each of them; ``-t`` is ``t * Tensor(-1.0)``, which
+negates values and gradients exactly.
 A ``Row`` is one learner's parameter held as a row of an (L, ...) block
 tensor, so ops over all learners read and write the block whole.
 Inference runs inside ``no_grad()``: there every op returns a constant
@@ -100,7 +101,7 @@ class Tensor:
         return mul(self, other)
 
     def __neg__(self):
-        return neg(self)
+        return mul(self, Tensor(-1.0))
 
     def __getitem__(self, key):
         return narrow(self, key)
@@ -243,13 +244,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         accumulate(b, _reduce_to(g * a.data, b.data.shape))
 
     return Tensor.from_op(a.data * b.data, (a, b), back, "mul")
-
-
-def neg(a: Tensor) -> Tensor:
-    def back(g):
-        accumulate(a, -g)
-
-    return Tensor.from_op(-a.data, (a,), back, "neg")
 
 
 def relu(a: Tensor) -> Tensor:

@@ -13,7 +13,9 @@ only: the ensemble's (L,N,...) attention-map stacks, or the dual model's
 pooled (4,N,...) patch-path stack, go to `diversity_of_pooled`,
 which records one tape op for the whole similarity matrix
 (`similarity_matrix_t`) and one for its determinant (`det_t`), making
-the chain differentiable down to raw features. The determinant gradient
+the chain differentiable down to raw features. The training losses take
+that determinant node, a scalar tensor, as their D term; a
+`DiversityScore` is what the oracle and `diversity_of_pooled` return. The determinant gradient
 is the explicit cofactor (adjugate-transpose) matrix, which stays
 well-defined at singular matrices — exactly the all-identical-features
 starting point. `lu_det` and the L² minors of the cofactor matrix all go
@@ -41,8 +43,10 @@ def auto_gamma(pooled_length: int) -> float:
 
 @dataclass
 class DiversityScore:
-    """det(S) plus which dimension it measures; ``node`` carries the
-    autodiff handle when the score came from a differentiable chain."""
+    """det(S) plus which dimension it measures: what `measure_diversity`
+    (the oracle) and `diversity_of_pooled` return. ``node`` is the tape's
+    determinant tensor when the score came from the differentiable chain,
+    and is what the training losses take."""
 
     value: float
     dimension: Dimension

@@ -1,13 +1,13 @@
 """Named finite-difference verification suite behind `divreg gradcheck`.
 
-Every op the training steps record, plus `neg`, and the loss of each
-training step are checked against central differences: ops at 1e-5 (the
-layer ops and the pools both on one input and on a stack of three
-learners), the two step losses through tiny end-to-end models at 1e-4,
-once at the default config and once with the switches that add ops
-(every layer tapped, max pooling, unit-normalized features). Check inputs
-come from per-check seeded streams, chosen with margins away from
-relu/max kinks, so the report is deterministic.
+Every op the training steps record and the loss of each training step
+are checked against central differences: ops at 1e-5 (the layer ops and
+the pools both on one input and on a stack of three learners), the two
+step losses through tiny end-to-end models at 1e-4, once at the default
+config and once with the switches that add ops (every layer tapped, max
+pooling, unit-normalized features). Check inputs come from per-check
+seeded streams, chosen with margins away from relu/max kinks, so the
+report is deterministic.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, concat, grad_check, neg, relu, reshape, sigmoid, tmean
+from .autodiff import Tensor, concat, grad_check, relu, reshape, sigmoid, tmean
 from .config import ExperimentConfig
 from .diversity import (channel_pool, det_gradient, det_t, similarity_matrix_t, spatial_pool,
                         unit_normalize)
@@ -82,11 +82,6 @@ def _check_mul(rng):
         grad_check(lambda t: _mix(t * b, _rng(104)), a),
         grad_check(lambda t: _mix(a * t, _rng(105)), b),
         grad_check(lambda t: _mix(a * t, _rng(106)), s))
-
-
-def _check_neg(rng):
-    a = _var(rng.normal(size=(2, 5)))
-    return grad_check(lambda t: _mix(neg(t), _rng(107)), a)
 
 
 def _check_relu(rng):
@@ -311,7 +306,6 @@ def _step_check(family: str, model_seed: int, labels, pick, **switches):
 _CHECKS = [
     ("add", 0, OP_TOL, _check_add),
     ("mul", 1, OP_TOL, _check_mul),
-    ("neg", 2, OP_TOL, _check_neg),
     ("relu", 4, OP_TOL, _check_relu),
     ("sigmoid", 5, OP_TOL, _check_sigmoid),
     ("mean", 7, OP_TOL, _check_mean),

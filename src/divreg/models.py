@@ -355,6 +355,8 @@ def load_checkpoint(path):
         raise CheckpointFormatError(f"unsupported checkpoint version {version}")
     if family not in (FAMILY_ENSEMBLE, FAMILY_DUAL):
         raise CheckpointFormatError(f"unknown model family tag {family}")
+    if flags & ~1:  # bit 0 is attention; no other bit has a meaning
+        raise CheckpointFormatError(f"unknown bits in flags 0x{flags:x}")
     if not 2 <= class_count <= SIZE_LIMIT:
         raise CheckpointFormatError(f"implausible class count {class_count}")
     if not 4 <= input_size <= SIZE_LIMIT:

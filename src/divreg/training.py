@@ -16,8 +16,9 @@ backward writes one gradient per block and `SGD` updates each block at once,
 so neither grows with the branch count. `train` lists `model.parameters()`
 once per epoch, after any branch add, not twice per step.
 
-Subtracting diversity rewards dissimilar learners. Each loss takes
-DiversityScores and returns the scalar loss tensor plus a LossBreakdown
+Subtracting diversity rewards dissimilar learners. Each loss takes its
+D terms as the scalar tensors `det_t` records (None for a term the step
+does not compute) and returns the scalar loss tensor plus a LossBreakdown
 whose total recomposes from the parts. With weight 0 the diversity terms
 never enter the graph, so a weight-0 run and a switches-off run follow
 bit-identical parameter trajectories; the scores are still computed, by
@@ -44,8 +45,7 @@ import numpy as np
 
 from .autodiff import Tensor, backward, no_grad
 from .data import batches
-from .diversity import (DiversityScore, auto_gamma, channel_pool, diversity_of_pooled,
-                        spatial_pool)
+from .diversity import auto_gamma, channel_pool, diversity_of_pooled, spatial_pool
 from .models import (DualBranchModel, EnsembleModel, add_branch, dual_predict,
                      ensemble_predict)
 from .nn import softmax_cross_entropy
@@ -136,49 +136,37 @@ class SGD:
             t.data = t.data - self.learning_rate * v
 
 
-def _score_value(score) -> float | None:
-    return None if score is None else float(score.value)
+def _value(d: Tensor | None) -> float | None:
+    return None if d is None else float(d.data)
 
 
-def _penalty_terms(total: Tensor, scores, weight: float) -> Tensor:
-    """total - weight * sum(scores); scores without a graph node enter as
-    constants, and weight 0 leaves the graph untouched."""
-    if weight == 0.0:
+def _penalty_terms(total: Tensor, terms, weight: float) -> Tensor:
+    """total - weight * sum(terms), the terms that are not None; weight 0
+    leaves the graph untouched."""
+    terms = [t for t in terms if t is not None]
+    if weight == 0.0 or not terms:
         return total
-    terms = []
-    for s in scores:
-        if s is None:
-            continue
-        terms.append(s.node if s.node is not None else Tensor(s.value))
-    if not terms:
-        return total
-    penalty = terms[0]
-    for t in terms[1:]:
-        penalty = penalty + t
-    return total + penalty * Tensor(-weight)
+    return total + sum(terms[1:], terms[0]) * Tensor(-weight)
 
 
-def esr_loss(cls: Tensor, d_ch: DiversityScore | None,
-             d_sp: DiversityScore | None, weight: float):
+def esr_loss(cls: Tensor, d_ch: Tensor | None, d_sp: Tensor | None, weight: float):
     """sum_b L_b - weight (D_ch + D_sp) -> (scalar tensor, LossBreakdown);
     ``cls`` is the branches' summed classification loss, sum_b L_b."""
     total = _penalty_terms(cls, (d_ch, d_sp), weight)
-    bd = LossBreakdown(classification=float(cls.data), d_sp=_score_value(d_sp),
-                       d_ch=_score_value(d_ch), d_branch=None, total=float(total.data))
+    bd = LossBreakdown(classification=float(cls.data), d_sp=_value(d_sp), d_ch=_value(d_ch),
+                       d_branch=None, total=float(total.data))
     return total, bd
 
 
-def manet_loss(l_local: Tensor, l_global: Tensor, d_b: DiversityScore | None,
-               d_sp: DiversityScore | None, d_ch: DiversityScore | None,
-               lambda_balance: float, weight: float):
+def manet_loss(l_local: Tensor, l_global: Tensor, d_b: Tensor | None, d_sp: Tensor | None,
+               d_ch: Tensor | None, lambda_balance: float, weight: float):
     """lam L_local + (1-lam) L_global - weight (D_b + D_sp + D_ch)."""
     if not 0.0 <= lambda_balance <= 1.0:
         raise ValueError(f"lambda must be in [0, 1], got {lambda_balance}")
     cls = l_local * Tensor(lambda_balance) + l_global * Tensor(1.0 - lambda_balance)
     total = _penalty_terms(cls, (d_b, d_sp, d_ch), weight)
-    bd = LossBreakdown(classification=float(cls.data), d_sp=_score_value(d_sp),
-                       d_ch=_score_value(d_ch), d_branch=_score_value(d_b),
-                       total=float(total.data))
+    bd = LossBreakdown(classification=float(cls.data), d_sp=_value(d_sp), d_ch=_value(d_ch),
+                       d_branch=_value(d_b), total=float(total.data))
     return total, bd
 
 
@@ -250,16 +238,12 @@ def _dual_learners(res, cfg) -> dict:
     return learners
 
 
-def _mean_score(layers, dimension, cfg) -> DiversityScore:
+def _mean_score(layers, dimension, cfg) -> Tensor:
     """D of each layer's learners, averaged over the layers."""
     scores = [diversity_of_pooled(pooled, dimension, gamma=cfg.gamma,
-                                  normalize=cfg.normalize_features) for pooled in layers]
-    node = scores[0].node
-    for s in scores[1:]:
-        node = node + s.node
-    if len(scores) > 1:
-        node = node * Tensor(1.0 / len(scores))
-    return DiversityScore(value=float(node.data), dimension=dimension, node=node)
+                                  normalize=cfg.normalize_features).node for pooled in layers]
+    total = sum(scores[1:], scores[0])
+    return total if len(scores) == 1 else total * Tensor(1.0 / len(scores))
 
 
 def _ensemble_step(model: EnsembleModel, xb, yb, cfg):

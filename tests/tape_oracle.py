@@ -1,9 +1,9 @@
 """Tape ops the tests build reference graphs and scalar roots from.
 
-Training records neither `exp` nor `tsum`, so `divreg.autodiff` does not
-carry them. Their arithmetic is that of the per-pair similarity graph
-which `similarity_matrix_t` replaced, so the gradients of that graph stay
-a bit-exact oracle for it.
+Training records none of `exp`, `tsum` and `neg`, so `divreg.autodiff`
+does not carry them. Their arithmetic is that of the per-pair similarity
+graph which `similarity_matrix_t` replaced, so the gradients of that
+graph stay a bit-exact oracle for it.
 
 `learner_conv2d`, `learner_linear` and `learner_attention` run one
 learner's layer on its own, as the model did before its branches shared
@@ -27,6 +27,13 @@ def exp(a: Tensor) -> Tensor:
         accumulate(a, g * out_data)
 
     return Tensor.from_op(out_data, (a,), back, "exp")
+
+
+def neg(a: Tensor) -> Tensor:
+    def back(g):
+        accumulate(a, -g)
+
+    return Tensor.from_op(-a.data, (a,), back, "neg")
 
 
 def tsum(a: Tensor, axis=None, keepdims=False) -> Tensor:

@@ -260,7 +260,7 @@ def test_criterion_08_dual_branch_structure():
     labels = np.arange(6) % 4
     l_local = softmax_cross_entropy(res.local_logits, labels)
     l_global = softmax_cross_entropy(res.global_logits, labels)
-    total, bd = manet_loss(l_local, l_global, d_b_live, d_sp, d_ch, 0.6, 1.0)
+    total, bd = manet_loss(l_local, l_global, d_b_live.node, d_sp.node, d_ch.node, 0.6, 1.0)
     lam_part = 0.6 * float(l_local.data) + 0.4 * float(l_global.data)
     recompose_gap = max(
         abs(bd.total - (bd.classification - (bd.d_branch + bd.d_sp + bd.d_ch))),

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from divreg.autodiff import (ShapeMismatch, Tensor, accumulate, add, backward,
-                             concat, grad_check, mul, narrow, neg, no_grad, relu, reshape,
+                             concat, grad_check, mul, narrow, no_grad, relu, reshape,
                              sigmoid, tmean)
-from tape_oracle import exp, tsum
+from tape_oracle import exp, neg, tsum
 
 
 def var(data):

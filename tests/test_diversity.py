@@ -8,14 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divreg.autodiff import (ShapeMismatch, Tensor, accumulate, add, backward, mul, neg,
+from divreg.autodiff import (ShapeMismatch, Tensor, accumulate, add, backward, mul,
                              reshape, tmean)
 import divreg.diversity as diversity_module
 from divreg.diversity import (_lu_dets, auto_gamma, channel_pool, det_gradient, det_t,
                               diversity_of_pooled, lu_det, measure_diversity,
                               similarity_matrix, similarity_matrix_t, spatial_pool,
                               unit_normalize)
-from tape_oracle import exp, tsum
+from tape_oracle import exp, neg, tsum
 
 E_INV = 0.36787944117144233  # frozen: exp(-1)
 ONE_MINUS_E_INV2 = 0.8646647167633873  # frozen: 1 - exp(-2)
@@ -414,6 +414,17 @@ def test_similarity_permutation_invariant_det():
     s_perm = similarity_matrix([pooled[i] for i in perm], gamma=0.3)
     np.testing.assert_array_equal(s_perm, s[np.ix_(perm, perm)])
     assert abs(lu_det(s_perm) - d) < 1e-12
+
+
+def test_auto_gamma_lets_feature_scale_move_d():
+    # gamma "auto" is 1/P whatever the features' scale, so growing the
+    # features drives every off-diagonal of S to 0 and D towards 1
+    f = np.random.default_rng(12).uniform(0.0, 1.0, (3, 4, 6))
+    for score in (lambda a: measure_diversity(list(a), "channel").value,
+                  lambda a: diversity_of_pooled(Tensor(a), "channel").value):
+        d, d_scaled = score(f), score(10.0 * f)
+        assert d_scaled != d
+        assert d < 0.5 < d_scaled
 
 
 def test_well_separated_features_approach_full_diversity():

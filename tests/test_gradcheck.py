@@ -21,7 +21,7 @@ from tape_oracle import scale_backward
 def test_suite_names_are_unique_and_cover_core_ops():
     names = [name for name, *_ in _CHECKS]
     assert len(names) == len(set(names))
-    for expected in ("add", "mul", "neg", "relu", "sigmoid", "mean", "reshape",
+    for expected in ("add", "mul", "relu", "sigmoid", "mean", "reshape",
                      "concat", "slice", "conv2d", "linear", "reduce_max", "broadcast_mul", "softmax_cross_entropy",
                      "global_avg_pool", "attention", "spatial_pool",
                      "channel_pool", "unit_normalize", "similarity", "det",
@@ -96,8 +96,7 @@ def test_checks_cover_exactly_the_tape_ops(monkeypatch):
     kinds = _source_op_kinds()
     check_names = {name for name, *_ in _CHECKS}
     assert sorted(kinds - check_names) == []
-    # `neg` is kept for writing a negated loss (acceptance criterion 5)
-    assert kinds == _training_op_kinds(monkeypatch) | {"neg"}
+    assert kinds == _training_op_kinds(monkeypatch)
 
 
 @pytest.mark.parametrize("kind", sorted(_source_op_kinds()))

@@ -319,6 +319,12 @@ def test_checkpoint_error_cases(tmp_path):
     with pytest.raises(CheckpointFormatError, match="family"):
         load_checkpoint(bad)
 
+    wrong_flags = bytearray(raw)
+    wrong_flags[12] = 0xFF
+    bad.write_bytes(bytes(wrong_flags))
+    with pytest.raises(CheckpointFormatError, match="flags 0xff"):
+        load_checkpoint(bad)
+
 
 def test_checkpoint_invalid_header_values_are_format_errors(tmp_path):
     path = tmp_path / "d.dvrg"

@@ -10,8 +10,7 @@ from divreg import autodiff, diversity, nn, training
 from divreg.autodiff import Tensor, backward, concat, relu
 from divreg.config import ExperimentConfig
 from divreg.data import Dataset, GeneratorConfig, batches, generate
-from divreg.diversity import (DiversityScore, channel_pool, diversity_of_pooled,
-                              measure_diversity, spatial_pool)
+from divreg.diversity import channel_pool, diversity_of_pooled, measure_diversity, spatial_pool
 from divreg.models import (DualBranchModel, EnsembleModel, build_dual_branch, build_ensemble,
                            dual_predict, ensemble_predict)
 from divreg.nn import (attention_apply, conv2d, global_avg_pool, linear,
@@ -21,9 +20,9 @@ from divreg.training import (EVAL_BATCH_SIZE, SGD, EpochRecord, LossBreakdown,
                              evaluate, manet_loss, predict_dataset, resolved_gammas, train)
 
 
-def score(value, dimension="spatial", with_node=False):
-    node = Tensor(value, requires_grad=True) if with_node else None
-    return DiversityScore(value=value, dimension=dimension, node=node)
+def score(value, leaf=False):
+    """A D term: a constant scalar tensor, or a leaf that takes a gradient."""
+    return Tensor(value, requires_grad=leaf)
 
 
 def tiny_dataset(n=48, size=8, classes=4, seed=0):
@@ -241,7 +240,7 @@ def test_sgd_validation_and_zero_grad():
 
 def test_esr_loss_frozen():
     # frozen: (1+2+3) - 1*(0.4 + 0.6) = 5.0
-    total, bd = esr_loss(Tensor(6.0), score(0.4, "channel"), score(0.6), 1.0)
+    total, bd = esr_loss(Tensor(6.0), score(0.4), score(0.6), 1.0)
     assert float(total.data) == pytest.approx(5.0, abs=1e-15)
     assert bd.classification == 6.0
     assert bd.d_ch == 0.4 and bd.d_sp == 0.6 and bd.d_branch is None
@@ -250,8 +249,8 @@ def test_esr_loss_frozen():
 
 def test_manet_loss_frozen():
     # frozen: 0.6*1 + 0.4*2 - (0.5+0.2+0.3) = 0.4
-    total, bd = manet_loss(Tensor(1.0), Tensor(2.0), score(0.5, "branch"),
-                           score(0.2), score(0.3, "channel"), 0.6, 1.0)
+    total, bd = manet_loss(Tensor(1.0), Tensor(2.0), score(0.5), score(0.2), score(0.3),
+                           0.6, 1.0)
     assert float(total.data) == pytest.approx(0.4, abs=1e-14)
     assert bd.classification == pytest.approx(1.4, abs=1e-15)
     assert bd.d_branch == 0.5 and bd.d_sp == 0.2 and bd.d_ch == 0.3
@@ -260,18 +259,17 @@ def test_manet_loss_frozen():
 
 
 def test_losses_recompose_from_breakdown():
-    total, bd = manet_loss(Tensor(1.7), Tensor(0.3), score(0.11, "branch"),
-                           score(0.23), score(0.31, "channel"), 0.6, 0.8)
+    total, bd = manet_loss(Tensor(1.7), Tensor(0.3), score(0.11), score(0.23), score(0.31),
+                           0.6, 0.8)
     recomposed = bd.classification - 0.8 * (bd.d_branch + bd.d_sp + bd.d_ch)
     assert abs(bd.total - recomposed) < 1e-12
-    total2, bd2 = esr_loss(Tensor(1.7), score(0.11, "channel"), score(0.23), 0.5)
+    total2, bd2 = esr_loss(Tensor(1.7), score(0.11), score(0.23), 0.5)
     assert abs(bd2.total - (bd2.classification - 0.5 * (bd2.d_ch + bd2.d_sp))) < 1e-12
 
 
 def test_weight_zero_skips_penalty_graph():
     cls = Tensor(2.0, requires_grad=True)
-    total, bd = esr_loss(cls, score(0.5, "channel", with_node=True),
-                         score(0.3, with_node=True), 0.0)
+    total, bd = esr_loss(cls, score(0.5, leaf=True), score(0.3, leaf=True), 0.0)
     assert total is cls  # untouched graph, not a rebuilt equal value
     assert bd.d_ch == 0.5 and bd.d_sp == 0.3  # still observed
     assert bd.total == 2.0
@@ -306,6 +304,35 @@ def test_weight_zero_logs_the_weighted_scores(family):
             assert getattr(bd0, name) is None
 
 
+def _diversity_share(branches):
+    """||g_1 - g_0|| / ||g_0|| over the parameter blocks of one ensemble
+    step at diversity weight 1 (g_1) and 0 (g_0), at initialisation, on a
+    seeded 12-image 8 px batch: the diversity part of the gradient against
+    the classification part."""
+    model = build_ensemble(3, branch_max=branches, seed=0, input_size=8,
+                           initial_branches=branches)
+    x = np.random.default_rng(5).uniform(0.0, 1.0, (12, 1, 8, 8))
+    y = np.arange(12) % 3
+    blocks = training._storage(model.parameters())
+    grads = []
+    for weight in (1.0, 0.0):
+        SGD(0.1).zero_grad(blocks)
+        cfg = ExperimentConfig("ensemble", class_count=3, branch_max=branches,
+                               diversity_weight=weight)
+        backward(_ensemble_step(model, x, y, cfg)[0])
+        grads.append(np.concatenate([t.grad.ravel() for t in blocks]))
+    return float(np.linalg.norm(grads[0] - grads[1]) / np.linalg.norm(grads[1]))
+
+
+def test_diversity_gradient_collapses_with_width():
+    # det(S)'s cofactor gradient scales with D, which falls towards 0 as
+    # near-1 similarities fill S: from L=6 on, the term all but leaves the
+    # step (1.7 at L=2, 2e-3 at L=3, 1.4e-11 at L=6 when this was written)
+    wide, narrow = _diversity_share(6), _diversity_share(2)
+    assert narrow > 0.1
+    assert wide < 1e-6 * narrow
+
+
 def test_missing_scores_enter_as_absent():
     total, bd = esr_loss(Tensor(2.0), None, score(0.3), 1.0)
     assert float(total.data) == pytest.approx(1.7, abs=1e-15)
@@ -316,14 +343,14 @@ def test_missing_scores_enter_as_absent():
 
 def test_penalty_gradient_direction():
     # diversity enters negated: its gradient pushes scores up
-    d_sp = score(0.3, with_node=True)
-    d_ch = score(0.2, "channel", with_node=True)
+    d_sp = score(0.3, leaf=True)
+    d_ch = score(0.2, leaf=True)
     cls = Tensor(1.0, requires_grad=True)
     total, _ = esr_loss(cls, d_ch, d_sp, 2.0)
     backward(total)
     assert float(cls.grad) == 1.0
-    assert float(d_sp.node.grad) == -2.0
-    assert float(d_ch.node.grad) == -2.0
+    assert float(d_sp.grad) == -2.0
+    assert float(d_ch.grad) == -2.0
 
 
 def test_loss_breakdown_finite():
@@ -757,7 +784,8 @@ def looped_dual_step(model, xb, yb, cfg):
     learners = {"spatial": [spatial_pool(p, op=cfg.pool_op) for p in paths],
                 "channel": [channel_pool(p, op=cfg.pool_op) for p in paths],
                 "branch": [local_vec, global_vec]}
-    scores = {k: diversity_of_pooled(v, k, gamma=cfg.gamma, normalize=cfg.normalize_features)
+    scores = {k: diversity_of_pooled(v, k, gamma=cfg.gamma,
+                                     normalize=cfg.normalize_features).node
               for k, v in learners.items()}
     loss, _ = manet_loss(softmax_cross_entropy(local_logits, yb),
                          softmax_cross_entropy(global_logits, yb), scores["branch"],
